@@ -17,6 +17,7 @@ from .hamming_kmeans import (
     ClusterModel,
     assign_step,
     binary_kmeans,
+    binary_kmeans_restarts,
     centroid_step,
     hamming_distance,
     labels,

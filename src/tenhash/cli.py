@@ -80,16 +80,6 @@ def _write_trace(history, path):
             ])
 
 
-def _read_label_file(path):
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                values.append(int(line))
-    return np.asarray(values, dtype=int)
-
-
 def _pipeline(dataset, anchors, bits, alpha, zeta, k, seed, max_iter, tol,
               standardize, restarts=8):
     """kernelize -> solve -> Hamming k-means; returns predictions,
@@ -113,13 +103,18 @@ def _pipeline(dataset, anchors, bits, alpha, zeta, k, seed, max_iter, tol,
     return codes, history, pred, times
 
 
-def _resolve_k(args_k, dataset, parser):
-    if args_k is not None:
-        if args_k > dataset.n:
-            parser.error(f"--k: {args_k} exceeds the {dataset.n} samples")
-        return args_k
+def _resolve_anchors_k(args, dataset, parser):
+    """Anchor count and cluster count for a run: the flags when given,
+    else min(1000, n) anchors and the number of distinct labels."""
+    anchors = args.anchors if args.anchors is not None else min(1000, dataset.n)
+    if anchors > dataset.n:
+        parser.error(f"--anchors: {anchors} exceeds the {dataset.n} samples")
+    if args.k is not None:
+        if args.k > dataset.n:
+            parser.error(f"--k: {args.k} exceeds the {dataset.n} samples")
+        return anchors, args.k
     if dataset.labels is not None:
-        return int(len(np.unique(dataset.labels)))
+        return anchors, int(len(np.unique(dataset.labels)))
     parser.error("--k is required when the dataset has no labels.csv")
 
 
@@ -150,10 +145,7 @@ def cmd_noise(args, parser):
 
 def cmd_cluster(args, parser):
     dataset = datamod.load_multiview(args.dataset)
-    anchors = args.anchors if args.anchors is not None else min(1000, dataset.n)
-    if anchors > dataset.n:
-        parser.error(f"--anchors: {anchors} exceeds the {dataset.n} samples")
-    k = _resolve_k(args.k, dataset, parser)
+    anchors, k = _resolve_anchors_k(args, dataset, parser)
     codes, history, pred, times = _pipeline(
         dataset, anchors, args.bits, args.alpha, args.zeta, k, args.seed,
         args.max_iter, args.tol, not args.no_standardize, args.restarts,
@@ -187,10 +179,7 @@ def cmd_cluster(args, parser):
 
 def cmd_sweep(args, parser):
     dataset = datamod.load_multiview(args.dataset)
-    anchors = args.anchors if args.anchors is not None else min(1000, dataset.n)
-    if anchors > dataset.n:
-        parser.error(f"--anchors: {anchors} exceeds the {dataset.n} samples")
-    k = _resolve_k(args.k, dataset, parser)
+    anchors, k = _resolve_anchors_k(args, dataset, parser)
     alphas = args.alphas if args.alphas is not None else [10.0 ** e for e in range(-8, 3)]
     rows = []
     failures = 0
@@ -269,8 +258,8 @@ def cmd_bench(args, parser):
 
 
 def cmd_eval(args, parser):
-    pred = _read_label_file(args.pred)
-    truth = _read_label_file(args.truth)
+    pred = datamod.parse_labels_file(args.pred)
+    truth = datamod.parse_labels_file(args.truth)
     report = all_metrics(pred, truth)
     _write_report(report, args.out)
     return 0
@@ -375,9 +364,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except FileExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (TenhashError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -71,7 +71,8 @@ def _parse_view_file(path):
     return np.asarray(rows, dtype=float)
 
 
-def _parse_labels_file(path, n):
+def parse_labels_file(path):
+    """Read a label file: one integer per line, blank lines skipped."""
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -84,10 +85,6 @@ def _parse_labels_file(path, n):
                 raise ParseError(
                     f"{path}: line {lineno}: {exc}", path=path, line=lineno
                 ) from exc
-    if len(values) != n:
-        raise LabelLengthMismatch(
-            f"{path}: {len(values)} labels for {n} samples", path=path
-        )
     return np.asarray(values, dtype=int)
 
 
@@ -128,7 +125,12 @@ def load_multiview(path):
     labels = None
     labels_path = os.path.join(path, "labels.csv")
     if os.path.exists(labels_path):
-        labels = _parse_labels_file(labels_path, n)
+        labels = parse_labels_file(labels_path)
+        if len(labels) != n:
+            raise LabelLengthMismatch(
+                f"{labels_path}: {len(labels)} labels for {n} samples",
+                path=labels_path,
+            )
 
     name = os.path.basename(os.path.normpath(path))
     meta_path = os.path.join(path, "meta.json")

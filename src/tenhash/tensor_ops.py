@@ -5,8 +5,20 @@ decompositions here are defined slice-wise after a DFT along the third
 mode: the t-product, t-SVD, tensor nuclear norm, the core-matrix view of
 the t-SVD core, and the shrinkage (proximal) operators built on them.
 
-Singular values below RANK_TOL times the largest one of their slice are
-treated as exact zeros everywhere.
+Every operator goes through one spectral path. The spectrum of a real
+tensor is conjugate-symmetric along mode 3, so only its d3//2+1
+independent slices are computed (``rfft``), as one contiguous stack that
+batched ``numpy.linalg`` calls factor at once; ``irfft`` rebuilds the
+real tensor and supplies the mirrored slices.
+
+Slice singular values come from one of two branches, chosen by the aspect
+ratio of the slices: an economy SVD for near-square slices, or the
+eigendecomposition of the Gram matrix of the short side when one side is
+at least _GRAM_RATIO times the other. Singular values below RANK_TOL times
+the largest one of their slice are treated as exact zeros everywhere. The
+Gram branch squares the slice, so it has a rounding floor: eigenvalues
+below long_side * eps times the largest one of their slice count as zero,
+i.e. singular values below about sqrt(long_side * eps) of the largest.
 """
 
 import numpy as np
@@ -24,6 +36,11 @@ RANK_TOL = 1e-12
 # imaginary residue above this fraction of the result norm means the
 # spectral stack was not conjugate-symmetric
 IMAG_TOL = 1e-8
+
+# aspect ratio beyond which slice SVDs go through the Gram matrix of the
+# short side (BLAS-3 work linear in the long side instead of LAPACK's
+# bidiagonalization, which scales poorly on very wide or tall slices)
+_GRAM_RATIO = 4
 
 
 class TSvd(NamedTuple):
@@ -50,91 +67,83 @@ def _as_tensor3(t, name="tensor"):
 
 
 def _clean_singvals(s):
-    """Zero out singular values below RANK_TOL relative to the largest."""
-    if s.size and s[0] > 0:
-        s = np.where(s < RANK_TOL * s[0], 0.0, s)
-    return s
+    """Zero out singular values below RANK_TOL relative to the largest of
+    their row (each row sorted non-increasing)."""
+    return np.where(s < RANK_TOL * s[..., :1], 0.0, s)
 
 
-def _svd(mat, full_matrices=False):
+def _svd(mat, full_matrices=False, compute_uv=True):
     try:
-        return np.linalg.svd(mat, full_matrices=full_matrices)
+        return np.linalg.svd(mat, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise SvdNonConvergence(str(exc)) from exc
 
 
-def _svdvals(mat):
-    try:
-        return np.linalg.svd(mat, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdNonConvergence(str(exc)) from exc
+def _spectrum(t):
+    """The d3//2+1 independent spectral slices of a real tensor, as a
+    contiguous complex (d3//2+1) x d1 x d2 stack (batched matrix products
+    on non-contiguous stacks fall off BLAS)."""
+    d1, d2, d3 = t.shape
+    stack = np.empty((d3 // 2 + 1, d1, d2), dtype=complex)
+    np.fft.rfft(t, axis=2, out=np.moveaxis(stack, 0, 2))
+    return stack
 
 
-# aspect ratio beyond which slice SVDs go through the Gram matrix of the
-# short side (BLAS-3 work linear in the long side instead of LAPACK's
-# bidiagonalization, which scales poorly on very wide or tall slices)
-_GRAM_RATIO = 4
+def _from_spectrum(stack, d3):
+    """Real d1 x d2 x d3 tensor whose independent spectral slices are
+    ``stack`` (inverse of :func:`_spectrum`); the mirrored slices are
+    their conjugates by construction."""
+    out = np.empty(stack.shape[1:] + (d3,))
+    return np.fft.irfft(np.moveaxis(stack, 0, 2), n=d3, axis=2, out=out)
 
 
-def _slice_singvals(mat):
-    """Singular values of one spectral slice, fast for rectangular slices."""
-    d1, d2 = mat.shape
-    if min(d1, d2) * _GRAM_RATIO > max(d1, d2):
-        return _svdvals(mat)
-    gram = mat @ mat.conj().T if d1 <= d2 else mat.conj().T @ mat
-    try:
-        vals = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SvdNonConvergence(str(exc)) from exc
-    return np.sqrt(np.maximum(vals[::-1], 0.0))
+def _all_slices(half, d3):
+    """Extend values indexed by independent slice (last axis) to all d3
+    slices; slice j and its mirror d3 - j share values."""
+    j = np.arange(d3)
+    return half[..., np.minimum(j, d3 - j)]
 
 
-def _slice_shrink_factors(mat):
-    """Factorization of one slice prepared for singular-value replacement.
+def _factor(stack, vectors=True):
+    """Singular values of every slice of a spectral stack, and a rebuild.
 
-    Returns (kind, data, s). ``kind`` is "full" (economy SVD), "wide" or
-    "tall" (Gram eigendecomposition of the short side; the slice itself
-    is kept and reused, so spurious null-space directions self-cancel).
+    Returns ``(s, rebuild)``: ``s`` is (slices, min(d1, d2)), each row
+    non-increasing and cleaned; ``rebuild(coeff)`` returns the stack with
+    those singular values replaced by the real ``coeff`` of the same shape.
+    With ``vectors=False`` no singular vectors are computed and
+    ``rebuild`` is None.
     """
-    d1, d2 = mat.shape
-    if min(d1, d2) * _GRAM_RATIO > max(d1, d2):
-        u, s, vt = _svd(mat)
-        return "full", (u, vt), s
+    _, d1, d2 = stack.shape
+    short, long = sorted((d1, d2))
+    if short * _GRAM_RATIO > long:
+        if not vectors:
+            return _clean_singvals(_svd(stack, compute_uv=False)), None
+        u, s, vh = _svd(stack)
+        return _clean_singvals(s), lambda coeff: (u * coeff[:, None, :]) @ vh
+    # Gram branch on the wide orientation: a tall stack is handled through
+    # its slice transposes, whose singular values and vectors mirror its own
+    tall = d1 > d2
+    wide = stack.mT if tall else stack
+    gram = wide @ wide.conj().mT
     try:
-        if d1 <= d2:
-            vals, vecs = np.linalg.eigh(mat @ mat.conj().T)
-        else:
-            vals, vecs = np.linalg.eigh(mat.conj().T @ mat)
+        vals, basis = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
     except np.linalg.LinAlgError as exc:
         raise SvdNonConvergence(str(exc)) from exc
-    order = np.argsort(vals)[::-1]
-    s = np.sqrt(np.maximum(vals[order], 0.0))
-    basis = vecs[:, order]
-    return ("wide" if d1 <= d2 else "tall"), (basis, mat), s
+    vals = vals[:, ::-1]
+    vals = np.where(vals > long * np.finfo(float).eps * vals[:, :1], vals, 0.0)
+    s = np.sqrt(vals)
+    if not vectors:
+        return s, None
+    basis = basis[:, :, ::-1]
 
+    def rebuild(coeff):
+        # the slice itself is reused, so spurious null-space directions
+        # of the Gram matrix self-cancel
+        ratio = np.divide(coeff, s, out=np.zeros_like(coeff), where=s > 0)
+        out = (basis * ratio[:, None, :]) @ (basis.conj().mT @ wide)
+        return out.mT if tall else out
 
-def _slice_recompose(kind, data, s, coeff):
-    """Rebuild a slice with its singular values replaced by ``coeff``."""
-    if kind == "full":
-        u, vt = data
-        return (u * coeff) @ vt
-    ratio = np.divide(coeff, s, out=np.zeros_like(coeff), where=s > 0)
-    basis, mat = data
-    if kind == "wide":
-        return (basis * ratio) @ (basis.conj().T @ mat)
-    return ((mat @ basis) * ratio) @ basis.conj().T
-
-
-def _independent_slices(d3):
-    """Number of leading spectral slices not determined by conjugate
-    symmetry of a real tensor (the rest mirror them)."""
-    return d3 // 2 + 1
-
-
-def _mirror_weight(j, d3):
-    """How many spectral slices slice j stands for (itself plus its
-    conjugate mirror, when the mirror is a different slice)."""
-    return 1 if (j == 0 or 2 * j == d3) else 2
+    return s, rebuild
 
 
 def mode3_dft(t):
@@ -175,12 +184,7 @@ def t_transpose(t):
     """Tensor transpose: transpose each frontal slice and reverse the
     order of slices 2..d3 (conjugate transpose in the spectral domain)."""
     t = _as_tensor3(t)
-    d3 = t.shape[2]
-    out = np.empty((t.shape[1], t.shape[0], d3))
-    out[:, :, 0] = t[:, :, 0].T
-    for j in range(1, d3):
-        out[:, :, j] = t[:, :, d3 - j].T
-    return out
+    return np.ascontiguousarray(t.transpose(1, 0, 2)[:, :, -np.arange(t.shape[2])])
 
 
 def t_product(a, b):
@@ -196,10 +200,7 @@ def t_product(a, b):
         raise DimensionMismatch(
             f"cannot t-multiply shapes {a.shape} and {b.shape}"
         )
-    ah = np.moveaxis(np.fft.fft(a, axis=2), 2, 0)
-    bh = np.moveaxis(np.fft.fft(b, axis=2), 2, 0)
-    ch = np.moveaxis(ah @ bh, 0, 2)
-    return np.ascontiguousarray(np.fft.ifft(ch, axis=2).real)
+    return _from_spectrum(_spectrum(a) @ _spectrum(b), a.shape[2])
 
 
 def t_svd(t):
@@ -213,25 +214,11 @@ def t_svd(t):
     """
     t = _as_tensor3(t)
     d1, d2, d3 = t.shape
-    th = np.fft.fft(t, axis=2)
-    uh = np.empty((d1, d1, d3), dtype=complex)
-    sh = np.zeros((d1, d2, d3), dtype=complex)
-    vh = np.empty((d2, d2, d3), dtype=complex)
-    dmin = min(d1, d2)
-    for j in range(_independent_slices(d3)):
-        u, s, vt = _svd(th[:, :, j], full_matrices=True)
-        s = _clean_singvals(s)
-        uh[:, :, j] = u
-        sh[:dmin, :dmin, j] = np.diag(s)
-        vh[:, :, j] = vt.conj().T
-    for j in range(_independent_slices(d3), d3):
-        uh[:, :, j] = uh[:, :, d3 - j].conj()
-        sh[:, :, j] = sh[:, :, d3 - j].conj()
-        vh[:, :, j] = vh[:, :, d3 - j].conj()
+    u, s, vh = _svd(_spectrum(t), full_matrices=True)
     return TSvd(
-        U=np.fft.ifft(uh, axis=2).real,
-        S=np.fft.ifft(sh, axis=2).real,
-        V=np.fft.ifft(vh, axis=2).real,
+        U=_from_spectrum(u, d3),
+        S=fold_core_matrix(_all_slices(_clean_singvals(s).T, d3), d1, d2, d3),
+        V=_from_spectrum(vh.conj().mT, d3),
     )
 
 
@@ -239,26 +226,8 @@ def tensor_nuclear_norm(t):
     """Tensor nuclear norm: mean over spectral slices of the matrix
     nuclear norm, i.e. (1/d3) * sum_j ||fft(t)[:, :, j]||_*."""
     t = _as_tensor3(t)
-    d3 = t.shape[2]
-    th = np.fft.fft(t, axis=2)
-    total = 0.0
-    for j in range(_independent_slices(d3)):
-        s = _clean_singvals(_svdvals(th[:, :, j]))
-        total += _mirror_weight(j, d3) * s.sum()
-    return total / d3
-
-
-def _spectral_core(t):
-    """Singular values of every spectral slice as a min(d1,d2) x d3
-    matrix; mirrored slices reuse their partner's values."""
-    d1, d2, d3 = t.shape
-    th = np.fft.fft(t, axis=2)
-    cm = np.empty((min(d1, d2), d3))
-    for j in range(_independent_slices(d3)):
-        cm[:, j] = _clean_singvals(_slice_singvals(th[:, :, j]))
-    for j in range(_independent_slices(d3), d3):
-        cm[:, j] = cm[:, d3 - j]
-    return cm
+    s, _ = _factor(_spectrum(t), vectors=False)
+    return _all_slices(s.T, t.shape[2]).sum() / t.shape[2]
 
 
 def enhanced_tensor_nuclear_norm(t, zeta):
@@ -267,8 +236,9 @@ def enhanced_tensor_nuclear_norm(t, zeta):
     if zeta < 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
     t = _as_tensor3(t)
-    cm = _spectral_core(t)
-    return float(_svdvals(cm).sum() + zeta * cm.sum() / t.shape[2])
+    s, _ = _factor(_spectrum(t), vectors=False)
+    cm = _all_slices(s.T, t.shape[2])
+    return float(_svd(cm, compute_uv=False).sum() + zeta * cm.sum() / t.shape[2])
 
 
 def extract_core_matrix(factors):
@@ -280,19 +250,21 @@ def extract_core_matrix(factors):
     """
     s = factors.S if isinstance(factors, TSvd) else factors
     s = _as_tensor3(s, "core tensor")
-    d1, d2, d3 = s.shape
-    dmin = min(d1, d2)
-    sh = np.fft.fft(s, axis=2)
-    cm = np.empty((dmin, d3))
-    for j in range(d3):
-        cm[:, j] = np.diag(sh[:, :, j]).real[:dmin]
-    return np.maximum(cm, 0.0)
+    diag = np.diagonal(_spectrum(s), axis1=1, axis2=2).real
+    return np.maximum(_all_slices(diag.T, s.shape[2]), 0.0)
 
 
 def fold_core_matrix(cm, d1, d2, d3):
     """Inverse of :func:`extract_core_matrix`: build the f-diagonal
     d1 x d2 x d3 core tensor whose spectral slice j has column j of ``cm``
-    on its diagonal."""
+    on its diagonal.
+
+    Raises
+    ------
+    ConjugateSymmetryViolation
+        If columns j and d3 - j of ``cm`` differ by more than IMAG_TOL of
+        its norm (the folded tensor would not be real).
+    """
     cm = np.asarray(cm, dtype=float)
     dmin = min(d1, d2)
     if cm.shape != (dmin, d3):
@@ -300,11 +272,18 @@ def fold_core_matrix(cm, d1, d2, d3):
             f"core matrix shape {cm.shape} incompatible with target "
             f"({d1}, {d2}, {d3}); expected ({dmin}, {d3})"
         )
-    sh = np.zeros((d1, d2, d3), dtype=complex)
+    # the antisymmetric part of cm is what would become the imaginary
+    # residue of the folded tensor, at the same fraction of its norm
+    imag = np.linalg.norm(cm - cm[:, -np.arange(d3)]) / 2
+    total = np.linalg.norm(cm)
+    if imag > IMAG_TOL * total:
+        raise ConjugateSymmetryViolation(
+            f"imaginary residue {imag:.3e} exceeds {IMAG_TOL:g} of norm {total:.3e}"
+        )
+    sh = np.zeros((d3 // 2 + 1, d1, d2))
     idx = np.arange(dmin)
-    for j in range(d3):
-        sh[idx, idx, j] = cm[:, j]
-    return mode3_idft(sh)
+    sh[:, idx, idx] = cm[:, : d3 // 2 + 1].T
+    return _from_spectrum(sh, d3)
 
 
 def matrix_svt(m, tau):
@@ -332,16 +311,8 @@ def tensor_svt(t, tau):
     if tau < 0:
         raise ValueError(f"threshold must be >= 0, got {tau}")
     t = _as_tensor3(t)
-    d3 = t.shape[2]
-    th = np.fft.fft(t, axis=2)
-    out = np.empty_like(th)
-    for j in range(_independent_slices(d3)):
-        u, s, vt = _svd(th[:, :, j])
-        s = np.maximum(_clean_singvals(s) - tau, 0.0)
-        out[:, :, j] = (u * s) @ vt
-    for j in range(_independent_slices(d3), d3):
-        out[:, :, j] = out[:, :, d3 - j].conj()
-    return np.ascontiguousarray(np.fft.ifft(out, axis=2).real)
+    s, rebuild = _factor(_spectrum(t))
+    return _from_spectrum(rebuild(np.maximum(s - tau, 0.0)), t.shape[2])
 
 
 def enhanced_tensor_svt(t, mu, zeta, lam):
@@ -356,8 +327,8 @@ def enhanced_tensor_svt(t, mu, zeta, lam):
     With ``lam == zeta == 0`` both stages are the identity and the input
     is returned unchanged.
 
-    Works slice by slice in the spectral domain with economy SVDs, which
-    is algebraically identical to composing the public operations
+    Works on the spectral slices with economy factorizations, which is
+    algebraically identical to composing the public operations
     (decompose, extract, shrink, fold, rebuild, shrink) but never forms
     the full square orthogonal factors.
     """
@@ -368,17 +339,9 @@ def enhanced_tensor_svt(t, mu, zeta, lam):
     t = _as_tensor3(t)
     if zeta == 0 and lam == 0:
         return t.copy()
-    d1, d2, d3 = t.shape
-    half = _independent_slices(d3)
-    th = np.fft.fft(t, axis=2)
-    factors = []
-    cm = np.empty((min(d1, d2), d3))
-    for j in range(half):
-        fac = _slice_shrink_factors(th[:, :, j])
-        cm[:, j] = _clean_singvals(fac[2])
-        factors.append(fac)
-    for j in range(half, d3):
-        cm[:, j] = cm[:, d3 - j]
+    d3 = t.shape[2]
+    s, rebuild = _factor(_spectrum(t))
+    cm = _all_slices(s.T, d3)
     # stage one: global SVT on the core matrix couples the slices
     cm_low = matrix_svt(cm, lam / mu)
     # stage two: the rebuilt slice U diag(c) V^H has singular values |c|,
@@ -387,10 +350,4 @@ def enhanced_tensor_svt(t, mu, zeta, lam):
     # a vanished singular value leaves no principled direction to put
     # re-grown energy on; keep those coefficients at zero
     shrunk = np.where(cm > 0, shrunk, 0.0)
-    out = np.empty_like(th)
-    for j in range(half):
-        kind, data, s = factors[j]
-        out[:, :, j] = _slice_recompose(kind, data, s, shrunk[:, j])
-    for j in range(half, d3):
-        out[:, :, j] = out[:, :, d3 - j].conj()
-    return np.ascontiguousarray(np.fft.ifft(out, axis=2).real)
+    return _from_spectrum(rebuild(shrunk[:, : d3 // 2 + 1].T), d3)

@@ -191,6 +191,17 @@ def test_eval_matches_oracles(tmp_path, capsys):
     assert report["ari"] == pytest.approx(oracles.ari_from_pairs(pred, truth))
 
 
+def test_eval_bad_line_names_file_and_line(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    bad = tmp_path / "bad.csv"
+    good.write_text("0\n1\n2\n")
+    bad.write_text("0\n1\nx\n")
+    assert run_cli("eval", str(good), str(bad)) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "line 3" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

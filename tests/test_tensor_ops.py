@@ -33,6 +33,28 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / (denom if denom else 1.0)
 
 
+def low_rank_tensor(rng, shape, rank):
+    """Sum of ``rank`` random outer products a o b o c."""
+    return sum(
+        np.einsum("i,j,k->ijk", *(rng.standard_normal(d) for d in shape))
+        for _ in range(rank)
+    )
+
+
+# slices at least 4 times wider than tall (or the reverse) take the Gram
+# branch, which leaves rounding noise where a singular value is zero
+GRAM_SHAPES = ((3, 40, 2), (40, 3, 3), (2, 29, 4), (5, 60, 5), (60, 5, 1), (8, 100, 3))
+
+
+def gram_branch_inputs(seed):
+    """Full-rank, rank-1 and rank-2 tensors of every Gram-branch shape."""
+    rng = np.random.default_rng(seed)
+    for shape in GRAM_SHAPES:
+        yield rng.standard_normal(shape)
+        for rank in (1, 2):
+            yield low_rank_tensor(rng, shape, rank)
+
+
 # ---------------------------------------------------------------------------
 # mode-3 transforms
 
@@ -174,8 +196,8 @@ def test_tnn_depth_one_diagonal():
 
 
 def test_tnn_matches_oracle():
-    t = np.random.default_rng(15).standard_normal((4, 4, 3))
-    assert tensor_nuclear_norm(t) == pytest.approx(oracles.naive_tnn(t), abs=1e-8)
+    for t in (np.random.default_rng(15).standard_normal((4, 4, 3)), *gram_branch_inputs(32)):
+        assert tensor_nuclear_norm(t) == pytest.approx(oracles.naive_tnn(t), abs=1e-8)
 
 
 def test_tnn_norm_properties():
@@ -226,6 +248,13 @@ def test_fold_identity_pattern():
     ).real
     assert rel_err(got, want) <= 1e-12
     assert rel_err(got, identity_tensor(3, 4)) <= 1e-12
+
+
+def test_fold_rejects_asymmetric_core_matrix():
+    cm = np.ones((3, 4))
+    cm[0, 1] = 2.0  # column 1 no longer mirrors column 3
+    with pytest.raises(ConjugateSymmetryViolation):
+        fold_core_matrix(cm, 3, 3, 4)
 
 
 def test_fold_dimension_mismatch():
@@ -286,8 +315,8 @@ def test_tensor_svt_depth_one_equals_matrix_svt(rng):
 
 
 def test_tensor_svt_matches_oracle():
-    t = np.random.default_rng(25).standard_normal((4, 4, 3))
-    assert rel_err(tensor_svt(t, 0.5), oracles.naive_tensor_svt(t, 0.5)) <= 1e-8
+    for t in (np.random.default_rng(25).standard_normal((4, 4, 3)), *gram_branch_inputs(33)):
+        assert rel_err(tensor_svt(t, 0.5), oracles.naive_tensor_svt(t, 0.5)) <= 1e-8
 
 
 def test_enhanced_svt_zero_params_identity(rng):
@@ -351,8 +380,9 @@ def test_enhanced_norm_value_matches_oracle_sum():
     from tenhash.tensor_ops import enhanced_tensor_nuclear_norm
 
     rng = np.random.default_rng(31)
-    for shape in ((4, 4, 3), (3, 30, 2), (25, 2, 3)):
-        t = rng.standard_normal(shape)
+    inputs = [rng.standard_normal(shape) for shape in ((4, 4, 3), (3, 30, 2), (25, 2, 3))]
+    inputs += [low_rank_tensor(rng, shape, rank) for shape in GRAM_SHAPES for rank in (1, 2)]
+    for t in inputs:
         cm = oracles.spectral_singular_values(t)
         want = oracles.matrix_nuclear_norm(cm) + 0.4 * oracles.naive_tnn(t)
         assert enhanced_tensor_nuclear_norm(t, 0.4) == pytest.approx(want, abs=1e-8)
