@@ -4,7 +4,8 @@ On-disk format: a directory holding ``view_1.csv`` .. ``view_v.csv``
 (one row per feature, one comma-separated column per sample, no header),
 an optional ``labels.csv`` with one integer per line, and an optional
 ``meta.json`` manifest which is validated when present. Values are
-written with 17 significant digits so a save/load round trip is exact.
+written with 17 significant digits so a save/load round trip is exact;
+a NaN or infinite value is rejected on load with its line and column.
 """
 
 import json
@@ -45,6 +46,7 @@ class MultiViewData:
 
 def _parse_view_file(path):
     rows = []
+    linenos = []  # file line of each kept row, so blank lines do not shift positions
     width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -66,9 +68,18 @@ def _parse_view_file(path):
                 raise ParseError(
                     f"{path}: line {lineno}: {exc}", path=path, line=lineno
                 ) from exc
+            linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: file is empty", path=path)
-    return np.asarray(rows, dtype=float)
+    view = np.asarray(rows, dtype=float)
+    bad = ~np.isfinite(view)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ParseError(
+            f"{path}: line {linenos[row]}, column {col + 1}: non-finite "
+            f"value {view[row, col]}", path=path, line=linenos[row],
+        )
+    return view
 
 
 def parse_labels_file(path):

@@ -90,3 +90,13 @@ class LabelLengthMismatch(DatasetFormatError):
 
 class ParseError(DatasetFormatError):
     """A cell could not be parsed as a number."""
+
+
+class NonFiniteInput(TenhashError, ValueError):
+    """An input view holds a NaN or Inf; carries its 1-based position."""
+
+    def __init__(self, message, view=None, feature=None, sample=None):
+        super().__init__(message)
+        self.view = view
+        self.feature = feature
+        self.sample = sample

@@ -9,10 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AnchorCountExceedsSamples, NonPositiveBandwidth
-
-# target block size (floats) for the chunked distance computation
-_CHUNK_BUDGET = 4_000_000
+from .exceptions import AnchorCountExceedsSamples, NonFiniteInput, NonPositiveBandwidth
 
 
 @dataclass
@@ -49,22 +46,57 @@ def sample_anchors(view, m, seed):
     return AnchorSet(anchors=view[:, indices].copy(), indices=indices)
 
 
-def _squared_distances(view, anchors):
-    """m x n matrix of squared sample-anchor distances.
+def _squared_distances(view, anchors, indices=None):
+    """m x n matrix of squared sample-anchor distances, by one GEMM.
 
-    Computed blockwise from explicit differences so that a sample column
-    identical to an anchor column gives an exact zero.
+    Forms ||x||^2 + ||s||^2 - 2 s.x after centring both operands on the
+    anchors' column mean, which does not depend on sample order and
+    removes the cancellation the uncentred form suffers on data far from
+    the origin; rounding below zero is clamped to 0. When ``indices`` gives
+    each anchor's source column, that entry is set to exactly 0 wherever
+    the column still equals the anchor, so a sample coincident with its own
+    anchor gets graph value exactly 1. Other exact duplicates of an anchor
+    get a rounding-level distance instead.
     """
-    d, n = view.shape
-    m = anchors.shape[1]
-    out = np.empty((m, n))
-    chunk = max(1, _CHUNK_BUDGET // max(1, d * m))
-    a = anchors[:, :, None]  # d x m x 1
-    for start in range(0, n, chunk):
-        block = view[:, None, start:start + chunk]  # d x 1 x c
-        diff = block - a
-        out[:, start:start + chunk] = np.einsum("dmc,dmc->mc", diff, diff)
+    centre = anchors.mean(axis=1, keepdims=True)
+    x = view - centre
+    s = anchors - centre
+    out = s.T @ x
+    out *= -2.0
+    out += np.square(x).sum(axis=0)
+    out += np.square(s).sum(axis=0)[:, None]
+    np.maximum(out, 0.0, out=out)
+    if indices is not None:
+        # an anchor set may be applied to a view with fewer columns
+        rows = np.flatnonzero(indices < x.shape[1])
+        cols = indices[rows]
+        own = np.all(x[:, cols] == s[:, rows], axis=0)
+        out[rows[own], cols[own]] = 0.0
     return out
+
+
+def _anchor_matrix(anchors):
+    """(d x m anchor matrix, source indices or None) of an AnchorSet or array."""
+    if isinstance(anchors, AnchorSet):
+        return anchors.anchors, anchors.indices
+    return np.asarray(anchors, dtype=float), None
+
+
+def _bandwidth(sqdist):
+    """Mean of a squared-distance matrix, or 1.0 if every entry is 0."""
+    delta = sqdist.mean()
+    return float(delta) if delta > 0 else 1.0
+
+
+def _check_bandwidth(delta):
+    if delta <= 0:
+        raise NonPositiveBandwidth(f"kernel width must be > 0, got {delta}")
+
+
+def _rbf(sqdist, delta):
+    """exp(-sqdist / delta), computed in place in ``sqdist``."""
+    sqdist /= -delta
+    return np.exp(sqdist, out=sqdist)
 
 
 def estimate_bandwidth(view, anchors):
@@ -74,20 +106,32 @@ def estimate_bandwidth(view, anchors):
     every anchor, so the result is always strictly positive.
     """
     view = np.asarray(view, dtype=float)
-    anchor_mat = anchors.anchors if isinstance(anchors, AnchorSet) else np.asarray(anchors, dtype=float)
+    anchor_mat, indices = _anchor_matrix(anchors)
     if view.size == 0 or anchor_mat.size == 0:
         raise ValueError("view and anchors must be nonempty")
-    delta = _squared_distances(view, anchor_mat).mean()
-    return float(delta) if delta > 0 else 1.0
+    return _bandwidth(_squared_distances(view, anchor_mat, indices))
 
 
 def kernelize(view, anchors, delta):
     """RBF bipartite graph: entry (j, i) = exp(-||x_i - s_j||^2 / delta)."""
-    if delta <= 0:
-        raise NonPositiveBandwidth(f"kernel width must be > 0, got {delta}")
+    _check_bandwidth(delta)
     view = np.asarray(view, dtype=float)
-    anchor_mat = anchors.anchors if isinstance(anchors, AnchorSet) else np.asarray(anchors, dtype=float)
-    return np.exp(-_squared_distances(view, anchor_mat) / delta)
+    anchor_mat, indices = _anchor_matrix(anchors)
+    return _rbf(_squared_distances(view, anchor_mat, indices), delta)
+
+
+def _check_finite_views(views):
+    """Raise NonFiniteInput naming the first NaN or Inf of the first view
+    that has one (view, feature and sample numbered from 1)."""
+    for p, view in enumerate(views, start=1):
+        bad = ~np.isfinite(view)
+        if bad.any():
+            feature, sample = np.argwhere(bad)[0]
+            raise NonFiniteInput(
+                f"view {p}: feature {feature + 1}, sample {sample + 1} is "
+                f"{view[feature, sample]}",
+                view=p, feature=int(feature) + 1, sample=int(sample) + 1,
+            )
 
 
 def standardize_features(view):
@@ -102,13 +146,19 @@ def standardize_features(view):
 def kernelize_views(views, m, seed, standardize=True, delta=None):
     """Kernelize every view of a dataset with anchors aligned by sample.
 
-    Returns the list of m x n bipartite graphs. ``delta`` overrides the
-    per-view bandwidth heuristic when given.
+    Returns the list of m x n bipartite graphs. Each view's distance
+    matrix is computed once; its mean is the bandwidth unless ``delta``
+    overrides it. Views holding NaN or Inf are rejected with
+    NonFiniteInput before any distance is computed.
     """
+    views = [np.asarray(view, dtype=float) for view in views]
+    if delta is not None:
+        _check_bandwidth(delta)
+    _check_finite_views(views)
     graphs = []
     for view in views:
-        prepared = standardize_features(view) if standardize else np.asarray(view, dtype=float)
+        prepared = standardize_features(view) if standardize else view
         anchors = sample_anchors(prepared, m, seed)
-        width = delta if delta is not None else estimate_bandwidth(prepared, anchors)
-        graphs.append(kernelize(prepared, anchors, width))
+        sqdist = _squared_distances(prepared, anchors.anchors, anchors.indices)
+        graphs.append(_rbf(sqdist, delta if delta is not None else _bandwidth(sqdist)))
     return graphs

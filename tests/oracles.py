@@ -116,15 +116,31 @@ def fisher_yates_sample(n, m, seed):
     return perm[:m]
 
 
+def double_loop_sqdist(view, anchors):
+    """m x n squared sample/anchor distances from explicit differences,
+    two loops."""
+    out = np.empty((anchors.shape[1], view.shape[1]))
+    for j in range(anchors.shape[1]):
+        for i in range(view.shape[1]):
+            out[j, i] = np.sum((view[:, i] - anchors[:, j]) ** 2)
+    return out
+
+
 def double_loop_mean_sqdist(view, anchors):
     """Mean squared distance over all sample/anchor pairs, two loops."""
-    total = 0.0
-    count = 0
-    for i in range(view.shape[1]):
-        for j in range(anchors.shape[1]):
-            total += np.sum((view[:, i] - anchors[:, j]) ** 2)
-            count += 1
-    return total / count
+    return double_loop_sqdist(view, anchors).mean()
+
+
+def explicit_difference_graphs(views, m, seed):
+    """Anchor graphs of unstandardized views from the definition: anchors
+    are the first m columns of the seeded Fisher-Yates shuffle, the width
+    is the mean squared distance, entry (j, i) = exp(-d_ji / width)."""
+    graphs = []
+    for view in views:
+        anchors = view[:, fisher_yates_sample(view.shape[1], m, seed)]
+        sq = double_loop_sqdist(view, anchors)
+        graphs.append(np.exp(-sq / sq.mean()))
+    return graphs
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +187,20 @@ def exhaustive_nearest_centroid(codes, centroids):
         dists = [hamming_count(codes[:, i], centroids[:, j]) for j in range(k)]
         assign[i] = int(np.argmin(dists))
     return assign
+
+
+def unique_redraw_seeds(codes, k, seed):
+    """Initial centroid columns of binary k-means by the first seeding
+    loop: draw k distinct samples, redraw up to n times while np.unique
+    finds fewer than k distinct codes among them."""
+    n = codes.shape[1]
+    rng = np.random.default_rng(seed)
+    chosen = list(rng.choice(n, size=k, replace=False))
+    for _ in range(n):
+        if np.unique(codes[:, chosen], axis=1).shape[1] == k:
+            break
+        chosen = list(rng.choice(n, size=k, replace=False))
+    return chosen
 
 
 def best_centroids_exhaustive(codes, assign, l, k):

@@ -56,6 +56,18 @@ def test_load_parse_error_names_file_and_line(tmp_path):
     assert "view_1.csv" in str(info.value) and "line 2" in str(info.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_load_rejects_non_finite_naming_line_and_column(tmp_path, cell):
+    # the blank line must not shift the reported line number
+    (tmp_path / "view_1.csv").write_text(f"1,2,3\n\n4,5,{cell}\n")
+    with pytest.raises(ParseError) as info:
+        load_multiview(tmp_path)
+    message = str(info.value)
+    assert "view_1.csv" in message
+    assert "line 3, column 3" in message
+    assert info.value.line == 3
+
+
 def test_load_missing_views(tmp_path):
     with pytest.raises(MissingView):
         load_multiview(tmp_path)

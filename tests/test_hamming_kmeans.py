@@ -206,6 +206,27 @@ def test_kmeans_deterministic(rng):
     assert np.array_equal(a.assignment, b.assignment)
 
 
+def test_kmeans_seeding_matches_unique_oracle(rng):
+    # 10 distinct 4-bit codes over 60 samples: k=6 redraws until its seeds
+    # are distinct, k=12 never finds distinct seeds and keeps the last draw
+    patterns = np.array(
+        [[1.0 if (c >> b) & 1 else -1.0 for c in range(10)] for b in range(4)])
+    codes = patterns[:, rng.permutation(np.arange(60) % 10)]
+    for k in (6, 12):
+        for seed in range(8):
+            model = binary_kmeans(codes, k, seed=seed)
+            centroids = codes[:, oracles.unique_redraw_seeds(codes, k, seed)].copy()
+            assignment = assign_step(codes, centroids)
+            for _ in range(100):
+                centroids = centroid_step(codes, assignment)
+                new_assignment = assign_step(codes, centroids)
+                if np.array_equal(new_assignment, assignment):
+                    break
+                assignment = new_assignment
+            assert np.array_equal(model.centroids, centroids)
+            assert np.array_equal(model.assignment, assignment)
+
+
 def test_kmeans_restarts_no_worse_than_single(rng):
     codes = random_codes(rng, 5, 40)
     single = binary_kmeans(codes, 4, seed=0)

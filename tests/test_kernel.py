@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import oracles
-from tenhash.exceptions import AnchorCountExceedsSamples, NonPositiveBandwidth
+from tenhash import kernel
+from tenhash.data import gen_gaussian_clusters
+from tenhash.exceptions import (
+    AnchorCountExceedsSamples,
+    NonFiniteInput,
+    NonPositiveBandwidth,
+    TenhashError,
+)
 from tenhash.kernel import (
     estimate_bandwidth,
     kernelize,
@@ -75,6 +82,58 @@ def test_kernelize_coincident_sample_is_exactly_one(rng):
     graph = kernelize(view, anchors, delta=1.7)
     for j, idx in enumerate(anchors.indices):
         assert graph[j, idx] == 1.0
+
+
+def test_squared_distances_match_oracle_on_offset_data(rng):
+    # far from the origin the uncentred GEMM form loses ~1e-5 to cancellation
+    view = rng.standard_normal((5, 40)) + 1e6
+    anchors = sample_anchors(view, 7, seed=3)
+    got = kernel._squared_distances(view, anchors.anchors, anchors.indices)
+    want = oracles.double_loop_sqdist(view, anchors.anchors)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_kernelize_duplicate_of_anchor_is_nearly_one(rng):
+    view = rng.standard_normal((6, 10))
+    anchors = sample_anchors(view, 3, seed=4)
+    j = 1
+    other = next(i for i in range(10) if i not in anchors.indices)
+    view[:, other] = view[:, anchors.indices[j]]
+    graph = kernelize(view, anchors, delta=0.5)
+    assert graph[j, other] >= 1 - 1e-12
+
+
+def test_kernelize_view_narrower_than_anchor_indices(rng):
+    # an anchor set may be applied to other samples than it was drawn from
+    anchors = sample_anchors(rng.standard_normal((3, 20)), 4, seed=8)
+    view = rng.standard_normal((3, 5))
+    graph = kernelize(view, anchors, delta=2.0)
+    want = np.exp(-oracles.double_loop_sqdist(view, anchors.anchors) / 2.0)
+    assert np.allclose(graph, want, rtol=1e-12, atol=0)
+
+
+def test_kernelize_views_matches_explicit_difference_oracle():
+    data = gen_gaussian_clusters(k=4, v=2, n=400, dims=[4, 4], sep=8, seed=1)
+    got = kernelize_views(data.views, 100, seed=0, standardize=False)
+    want = oracles.explicit_difference_graphs(data.views, 100, seed=0)
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_kernelize_views_rejects_non_finite_naming_position(rng, monkeypatch, value):
+    views = [rng.standard_normal((3, 10)), rng.standard_normal((4, 10))]
+    views[1][2, 7] = value
+
+    def no_distances(*args):
+        raise AssertionError("distances computed before the input check")
+
+    monkeypatch.setattr(kernel, "_squared_distances", no_distances)
+    with pytest.raises(NonFiniteInput) as info:
+        kernelize_views(views, 4, seed=0)
+    assert isinstance(info.value, TenhashError)
+    assert "view 2: feature 3, sample 8" in str(info.value)
+    assert (info.value.view, info.value.feature, info.value.sample) == (2, 3, 8)
 
 
 def test_kernelize_scalar_example():
