@@ -161,6 +161,7 @@ def cmd_cluster(args, parser):
         "k": k,
         "seed": args.seed,
         "iterations": len(history),
+        "stop_reason": codes.stop_reason,
         "final_res_qa": history[-1].res_projection if history else 0.0,
         "final_res_be": history[-1].res_code if history else 0.0,
     }

@@ -12,11 +12,13 @@ norm) through two auxiliary tensors and their multipliers:
 The blocks are updated in turn each iteration: a linear solve for every
 projection, a closed-form sign step for every code matrix, the two-stage
 shrinkage for both auxiliary tensors, then a gradient step on the
-multipliers with a geometrically growing penalty.
+multipliers with a geometrically growing penalty. The projection systems
+share one matrix per view up to the penalty, so each view's Gram matrix is
+eigendecomposed once per solve and every linear solve is two GEMMs.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +85,7 @@ class IterationRecord:
 class HashCodes:
     per_view: list
     fused: np.ndarray
+    stop_reason: str  # "tolerance" or "max_iter"
 
 
 def stack_views(mats):
@@ -143,31 +146,53 @@ def init_state(graphs, config):
     )
 
 
-def update_projections(state, graphs, config, grams=None, with_residual=False):
+def gram_factors(graphs):
+    """Per view graph phi, the triple ``(gram, values, basis)``: the Gram
+    matrix phi phi' and its eigendecomposition
+    ``gram = basis @ diag(values) @ basis.T``.
+
+    The factors serve every projection step from the first on, so a
+    non-finite Gram matrix is reported as :class:`NonFinite` at
+    iteration 1, before ``eigh`` fails on it.
+    """
+    factors = []
+    for p, g in enumerate(graphs):
+        gram = g @ g.T
+        if not np.all(np.isfinite(gram)):
+            raise NonFinite(f"non-finite Gram matrix of view {p + 1}", iteration=1)
+        values, basis = np.linalg.eigh(gram)
+        factors.append((gram, values, basis))
+    return factors
+
+
+def update_projections(state, graphs, config, factors=None, with_residual=False):
     """Exact minimizer of each view's projection subproblem.
 
     Solves (2*alpha*phi phi' + mu I) Q = 2*alpha*phi B' + mu A - Y per
-    view; the system is positive definite for any mu > 0. Optionally also
-    returns the largest relative residual of these normal equations.
+    view through the eigendecomposition of phi phi' (``factors``, from
+    :func:`gram_factors`, computed here when not given); the system is
+    positive definite for any mu > 0. Optionally also returns the largest
+    relative residual of these normal equations, taken against the Gram
+    matrix itself.
     """
     mu = state.mu
-    if grams is None:
-        grams = [g @ g.T for g in graphs]
-    m = graphs[0].shape[0]
+    if factors is None:
+        factors = gram_factors(graphs)
     updated = []
     worst = 0.0
-    for p, g in enumerate(graphs):
-        lhs = 2.0 * config.alpha * grams[p] + mu * np.eye(m)
+    for p, (g, (gram, values, basis)) in enumerate(zip(graphs, factors)):
         rhs = (
             2.0 * config.alpha * (g @ state.codes[p].T)
             + mu * state.aux_projection[:, :, p]
             - state.dual_projection[:, :, p]
         )
-        q = np.linalg.solve(lhs, rhs)
+        scale = 2.0 * config.alpha * values + mu
+        q = basis @ ((basis.T @ rhs) / scale[:, None])
         updated.append(q)
         if with_residual:
             denom = np.linalg.norm(rhs)
-            res = np.linalg.norm(lhs @ q - rhs) / (denom if denom else 1.0)
+            lhs_q = 2.0 * config.alpha * (gram @ q) + mu * q
+            res = np.linalg.norm(lhs_q - rhs) / (denom if denom else 1.0)
             worst = max(worst, res)
     return (updated, worst) if with_residual else updated
 
@@ -258,20 +283,22 @@ def solve(graphs, config):
 
     Stops when the larger of the two primal residuals, each normalized by
     the square root of its element count, drops below config.tol, or
-    after config.max_iter iterations. Returns the hash codes and the
+    after config.max_iter iterations; ``HashCodes.stop_reason`` records
+    which ("tolerance" or "max_iter"). Returns the hash codes and the
     per-iteration history.
     """
     graphs = [np.asarray(g, dtype=float) for g in graphs]
     state = init_state(graphs, config)
-    grams = [g @ g.T for g in graphs]
+    factors = gram_factors(graphs)
     q_size = np.sqrt(state.aux_projection.size)
     b_size = np.sqrt(state.aux_code.size)
     history = []
+    stop_reason = "max_iter"
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         mu_used = state.mu
         state.projections, q_res = update_projections(
-            state, graphs, config, grams=grams, with_residual=True
+            state, graphs, config, factors=factors, with_residual=True
         )
         state.codes = update_codes(state, graphs, config)
         _check_finite(state, it)
@@ -295,9 +322,11 @@ def solve(graphs, config):
             projection_residual=q_res,
         ))
         if max(res_q / q_size, res_b / b_size) < config.tol:
+            stop_reason = "tolerance"
             break
     codes = HashCodes(
         per_view=[b.copy() for b in state.codes],
         fused=fuse_codes(state.codes),
+        stop_reason=stop_reason,
     )
     return codes, history

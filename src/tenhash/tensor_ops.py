@@ -7,9 +7,14 @@ the t-SVD core, and the shrinkage (proximal) operators built on them.
 
 Every operator goes through one spectral path. The spectrum of a real
 tensor is conjugate-symmetric along mode 3, so only its d3//2+1
-independent slices are computed (``rfft``), as one contiguous stack that
-batched ``numpy.linalg`` calls factor at once; ``irfft`` rebuilds the
-real tensor and supplies the mirrored slices.
+independent slices are computed, as one contiguous stack that batched
+``numpy.linalg`` calls factor at once. For d3 <= 2 every independent
+slice is real: the spectrum is the tensor's single slice (d3 = 1) or the
+sum and the difference of its two slices (d3 = 2), kept as a real stack
+with no FFT, so the factorizations run in real arithmetic; the inverse
+is the half-sum and half-difference. For d3 >= 3 the stack is complex:
+``rfft`` computes it and ``irfft`` rebuilds the real tensor and supplies
+the mirrored slices.
 
 Slice singular values come from one of two branches, chosen by the aspect
 ratio of the slices: an economy SVD for near-square slices, or the
@@ -81,9 +86,17 @@ def _svd(mat, full_matrices=False, compute_uv=True):
 
 def _spectrum(t):
     """The d3//2+1 independent spectral slices of a real tensor, as a
-    contiguous complex (d3//2+1) x d1 x d2 stack (batched matrix products
-    on non-contiguous stacks fall off BLAS)."""
+    contiguous (d3//2+1) x d1 x d2 stack (batched matrix products on
+    non-contiguous stacks fall off BLAS); real for d3 <= 2, complex
+    otherwise."""
     d1, d2, d3 = t.shape
+    if d3 == 1:
+        return np.ascontiguousarray(np.moveaxis(t, 2, 0))
+    if d3 == 2:
+        stack = np.empty((2, d1, d2))
+        np.add(t[:, :, 0], t[:, :, 1], out=stack[0])
+        np.subtract(t[:, :, 0], t[:, :, 1], out=stack[1])
+        return stack
     stack = np.empty((d3 // 2 + 1, d1, d2), dtype=complex)
     np.fft.rfft(t, axis=2, out=np.moveaxis(stack, 0, 2))
     return stack
@@ -93,7 +106,14 @@ def _from_spectrum(stack, d3):
     """Real d1 x d2 x d3 tensor whose independent spectral slices are
     ``stack`` (inverse of :func:`_spectrum`); the mirrored slices are
     their conjugates by construction."""
+    if d3 == 1:
+        return np.ascontiguousarray(np.moveaxis(stack, 0, 2))
     out = np.empty(stack.shape[1:] + (d3,))
+    if d3 == 2:
+        np.add(stack[0], stack[1], out=out[:, :, 0])
+        np.subtract(stack[0], stack[1], out=out[:, :, 1])
+        out *= 0.5
+        return out
     return np.fft.irfft(np.moveaxis(stack, 0, 2), n=d3, axis=2, out=out)
 
 
@@ -190,7 +210,7 @@ def t_transpose(t):
 def t_product(a, b):
     """t-product of two third-order tensors.
 
-    Slice-wise complex matrix product in the spectral domain followed by
+    Slice-wise matrix product in the spectral domain followed by
     the inverse transform; equivalent to block-circulant matrix
     multiplication along mode 3.
     """

@@ -142,6 +142,19 @@ def test_cluster_reports_byte_identical_apart_from_timing(tmp_path):
     assert json.loads(first.read_text()) != json.loads(second.read_text()) or True
 
 
+def test_cluster_reports_stop_reason(tmp_path):
+    ds = synth_dataset(tmp_path / "ds", n=60)
+    flags = ["--anchors", "30", "--bits", "8", "--max-iter", "2"]
+    cases = (("1e9", "tolerance", 1), ("1e-12", "max_iter", 2))
+    for tol, reason, iterations in cases:
+        report_path = tmp_path / f"report_{reason}.json"
+        code = run_cli("cluster", str(ds), *flags, "--tol", tol, "--out", str(report_path))
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["stop_reason"] == reason
+        assert report["iterations"] == iterations
+
+
 def test_cluster_labels_out_roundtrips_through_eval(tmp_path, capsys):
     ds = synth_dataset(tmp_path / "ds")
     pred_path = tmp_path / "pred.csv"

@@ -7,6 +7,7 @@ from tenhash.solver import (
     HashCodes,
     SolverConfig,
     fuse_codes,
+    gram_factors,
     init_state,
     objective_value,
     solve,
@@ -113,6 +114,27 @@ def test_projection_update_beats_perturbations():
             config.alpha, state.mu,
         )
         assert base <= other + 1e-10
+
+
+def test_factored_projection_update_matches_assembled_solve(rng):
+    graphs = make_graphs(rng, v=2, m=6, n=14)
+    config = make_config(alpha=0.4, bits=4)
+    factors = gram_factors(graphs)
+    for mu in (1e-4, 1.0, 1e9):
+        state = init_state(graphs, config)
+        state.mu = mu
+        state.aux_projection = rng.standard_normal(state.aux_projection.shape)
+        state.dual_projection = rng.standard_normal(state.dual_projection.shape)
+        got = update_projections(state, graphs, config, factors=factors)
+        for p, g in enumerate(graphs):
+            lhs = 2.0 * config.alpha * (g @ g.T) + mu * np.eye(g.shape[0])
+            rhs = (
+                2.0 * config.alpha * (g @ state.codes[p].T)
+                + mu * state.aux_projection[:, :, p]
+                - state.dual_projection[:, :, p]
+            )
+            want = np.linalg.solve(lhs, rhs)
+            assert np.linalg.norm(got[p] - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_projection_normal_equation_residual(rng):

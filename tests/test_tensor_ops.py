@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from tenhash.exceptions import (
     DimensionMismatch,
 )
 from tenhash.tensor_ops import (
+    _spectrum,
     enhanced_tensor_svt,
     extract_core_matrix,
     fold_core_matrix,
@@ -44,6 +47,19 @@ def low_rank_tensor(rng, shape, rank):
 # slices at least 4 times wider than tall (or the reverse) take the Gram
 # branch, which leaves rounding noise where a singular value is zero
 GRAM_SHAPES = ((3, 40, 2), (40, 3, 3), (2, 29, 4), (5, 60, 5), (60, 5, 1), (8, 100, 3))
+
+
+# near-square slices with d3 <= 2, whose spectral stack is real; they take
+# the SVD branch (the Gram-branch shapes above include d3 = 1 and 2)
+REAL_SVD_SHAPES = ((4, 4, 2), (5, 3, 1), (3, 5, 2))
+
+
+def real_svd_inputs(seed):
+    """Full-rank and rank-1 tensors of every REAL_SVD_SHAPES shape."""
+    rng = np.random.default_rng(seed)
+    for shape in REAL_SVD_SHAPES:
+        yield rng.standard_normal(shape)
+        yield low_rank_tensor(rng, shape, 1)
 
 
 def gram_branch_inputs(seed):
@@ -95,6 +111,22 @@ def test_idft_rejects_asymmetric_stack(rng):
         mode3_idft(bad)
 
 
+def test_spectrum_is_real_for_depth_up_to_two(rng):
+    for d3 in (1, 2, 3, 4, 5):
+        stack = _spectrum(rng.standard_normal((3, 4, d3)))
+        assert stack.shape == (d3 // 2 + 1, 3, 4)
+        assert stack.dtype == (float if d3 <= 2 else complex)
+        assert stack.flags.c_contiguous
+
+
+def test_spectrum_depth_two_matches_naive_oracle():
+    t = np.random.default_rng(41).standard_normal((5, 3, 2))
+    want = oracles.naive_dft_mode3(t)
+    stack = _spectrum(t)
+    for j in (0, 1):
+        assert rel_err(stack[j], want[:, :, j]) <= 1e-12
+
+
 def test_round_trip_over_corpus():
     for t in random_tensor_corpus(100):
         assert rel_err(mode3_idft(mode3_dft(t)), t) <= 1e-12
@@ -119,9 +151,10 @@ def test_t_product_depth_one_is_matmul(rng):
 
 def test_t_product_matches_block_circulant_oracle():
     rng = np.random.default_rng(13)
-    a = rng.standard_normal((3, 4, 2))
-    b = rng.standard_normal((4, 2, 2))
-    assert rel_err(t_product(a, b), oracles.tproduct_bcirc(a, b)) <= 1e-10
+    for d3 in (2, 1, 3):
+        a = rng.standard_normal((3, 4, d3))
+        b = rng.standard_normal((4, 2, d3))
+        assert rel_err(t_product(a, b), oracles.tproduct_bcirc(a, b)) <= 1e-10
 
 
 def test_t_product_dimension_mismatch(rng):
@@ -154,13 +187,15 @@ def test_t_svd_zero_tensor():
 
 
 def test_t_svd_reconstruction_and_oracle_values():
-    t = np.random.default_rng(14).standard_normal((6, 4, 3))
-    factors = t_svd(t)
-    recon = t_product(factors.U, t_product(factors.S, t_transpose(factors.V)))
-    assert rel_err(recon, t) <= 1e-8
-    got = extract_core_matrix(factors)
-    want = oracles.spectral_singular_values(t)
-    assert np.max(np.abs(got - want)) <= 1e-8
+    rng = np.random.default_rng(14)
+    for shape in ((6, 4, 3), *REAL_SVD_SHAPES, (3, 40, 2), (60, 5, 1)):
+        t = rng.standard_normal(shape)
+        factors = t_svd(t)
+        recon = t_product(factors.U, t_product(factors.S, t_transpose(factors.V)))
+        assert rel_err(recon, t) <= 1e-8
+        got = extract_core_matrix(factors)
+        want = oracles.spectral_singular_values(t)
+        assert np.max(np.abs(got - want)) <= 1e-8
 
 
 def test_t_svd_corpus_reconstruction_and_unitarity():
@@ -196,7 +231,8 @@ def test_tnn_depth_one_diagonal():
 
 
 def test_tnn_matches_oracle():
-    for t in (np.random.default_rng(15).standard_normal((4, 4, 3)), *gram_branch_inputs(32)):
+    for t in (np.random.default_rng(15).standard_normal((4, 4, 3)),
+              *real_svd_inputs(34), *gram_branch_inputs(32)):
         assert tensor_nuclear_norm(t) == pytest.approx(oracles.naive_tnn(t), abs=1e-8)
 
 
@@ -315,7 +351,8 @@ def test_tensor_svt_depth_one_equals_matrix_svt(rng):
 
 
 def test_tensor_svt_matches_oracle():
-    for t in (np.random.default_rng(25).standard_normal((4, 4, 3)), *gram_branch_inputs(33)):
+    for t in (np.random.default_rng(25).standard_normal((4, 4, 3)),
+              *real_svd_inputs(35), *gram_branch_inputs(33)):
         assert rel_err(tensor_svt(t, 0.5), oracles.naive_tensor_svt(t, 0.5)) <= 1e-8
 
 
@@ -343,8 +380,8 @@ def test_enhanced_svt_shrinks_both_norms():
 
 def test_enhanced_svt_equals_public_composition():
     rng = np.random.default_rng(29)
-    for _ in range(8):
-        shape = tuple(rng.integers(2, 6, size=3))
+    random_shapes = (tuple(rng.integers(2, 6, size=3)) for _ in range(8))
+    for shape in itertools.chain(random_shapes, REAL_SVD_SHAPES):
         t = rng.standard_normal(shape)
         mu, zeta, lam = rng.uniform(0.5, 2.0), rng.uniform(0, 0.4), rng.uniform(0, 0.4)
         factors = t_svd(t)
@@ -361,7 +398,7 @@ def test_enhanced_svt_equals_public_composition():
 def test_enhanced_svt_rectangular_fast_path_matches_composition():
     # slices wide enough to take the Gram-eigendecomposition path
     rng = np.random.default_rng(30)
-    for shape in ((3, 40, 2), (40, 3, 3), (2, 29, 4)):
+    for shape in ((3, 40, 2), (40, 3, 3), (2, 29, 4), (60, 5, 1)):
         t = rng.standard_normal(shape)
         mu, zeta, lam = 1.3, 0.2, 0.15
         factors = t_svd(t)
@@ -382,6 +419,7 @@ def test_enhanced_norm_value_matches_oracle_sum():
     rng = np.random.default_rng(31)
     inputs = [rng.standard_normal(shape) for shape in ((4, 4, 3), (3, 30, 2), (25, 2, 3))]
     inputs += [low_rank_tensor(rng, shape, rank) for shape in GRAM_SHAPES for rank in (1, 2)]
+    inputs += real_svd_inputs(36)
     for t in inputs:
         cm = oracles.spectral_singular_values(t)
         want = oracles.matrix_nuclear_norm(cm) + 0.4 * oracles.naive_tnn(t)
