@@ -35,11 +35,24 @@ def _ratio(text):
     return value
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+def _at_least(kind, low, strict=False):
+    """argparse type: ``kind`` of the text, rejected below ``low`` (and at
+    it when ``strict``); NaN is rejected too."""
+    relation = ">" if strict else ">="
+
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {relation} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _at_least(int, 1)
+_positive_float = _at_least(float, 0, strict=True)
+_nonnegative_float = _at_least(float, 0)
 
 
 def _int_list(text):
@@ -271,15 +284,15 @@ def _add_pipeline_flags(sub):
                      help="anchor count m (default min(1000, n))")
     sub.add_argument("--bits", type=_positive_int, default=DEFAULT_BITS,
                      help="hash code length")
-    sub.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+    sub.add_argument("--alpha", type=_nonnegative_float, default=DEFAULT_ALPHA,
                      help="data-fit trade-off weight")
-    sub.add_argument("--zeta", type=float, default=0.1,
+    sub.add_argument("--zeta", type=_nonnegative_float, default=0.1,
                      help="second-stage shrinkage weight")
     sub.add_argument("--k", type=_positive_int, default=None,
                      help="cluster count (default: number of distinct labels)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-iter", type=_positive_int, default=100)
-    sub.add_argument("--tol", type=float, default=1e-6)
+    sub.add_argument("--tol", type=_positive_float, default=1e-6)
     sub.add_argument("--no-standardize", action="store_true",
                      help="skip per-feature z-scoring before kernelization")
     sub.add_argument("--restarts", type=_positive_int, default=8,
@@ -341,11 +354,11 @@ def build_parser():
     bench.add_argument("--sep", type=float, default=8.0)
     bench.add_argument("--anchors", type=_positive_int, default=500)
     bench.add_argument("--bits", type=_positive_int, default=32)
-    bench.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    bench.add_argument("--zeta", type=float, default=0.1)
+    bench.add_argument("--alpha", type=_nonnegative_float, default=DEFAULT_ALPHA)
+    bench.add_argument("--zeta", type=_nonnegative_float, default=0.1)
     bench.add_argument("--max-iter", type=_positive_int, default=5,
                        help="fixed iteration cap applied at every size")
-    bench.add_argument("--tol", type=float, default=1e-12,
+    bench.add_argument("--tol", type=_positive_float, default=1e-12,
                        help="kept tiny so every size runs the full cap")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default=None)

@@ -9,7 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AnchorCountExceedsSamples, NonFiniteInput, NonPositiveBandwidth
+from .exceptions import (
+    AnchorCountExceedsSamples,
+    InconsistentSampleCounts,
+    NonFiniteInput,
+    NonPositiveBandwidth,
+)
 
 
 @dataclass
@@ -46,8 +51,9 @@ def sample_anchors(view, m, seed):
     return AnchorSet(anchors=view[:, indices].copy(), indices=indices)
 
 
-def _squared_distances(view, anchors, indices=None):
-    """m x n matrix of squared sample-anchor distances, by one GEMM.
+def _squared_distances(view, anchors, indices=None, out=None):
+    """m x n matrix of squared sample-anchor distances, by one GEMM, written
+    into ``out`` when given.
 
     Forms ||x||^2 + ||s||^2 - 2 s.x after centring both operands on the
     anchors' column mean, which does not depend on sample order and
@@ -61,7 +67,7 @@ def _squared_distances(view, anchors, indices=None):
     centre = anchors.mean(axis=1, keepdims=True)
     x = view - centre
     s = anchors - centre
-    out = s.T @ x
+    out = np.matmul(s.T, x, out=out)
     out *= -2.0
     out += np.square(x).sum(axis=0)
     out += np.square(s).sum(axis=0)[:, None]
@@ -146,19 +152,24 @@ def standardize_features(view):
 def kernelize_views(views, m, seed, standardize=True, delta=None):
     """Kernelize every view of a dataset with anchors aligned by sample.
 
-    Returns the list of m x n bipartite graphs. Each view's distance
-    matrix is computed once; its mean is the bandwidth unless ``delta``
-    overrides it. Views holding NaN or Inf are rejected with
-    NonFiniteInput before any distance is computed.
+    Returns the v x m x n stack of bipartite graphs, view p's graph being
+    ``graphs[p]``. Each view's distance matrix is computed once, in its own
+    slot of the stack, and turned into the graph in place; its mean is the
+    bandwidth unless ``delta`` overrides it. Views holding NaN or Inf are
+    rejected with NonFiniteInput, and views with different sample counts
+    with InconsistentSampleCounts, before any distance is computed.
     """
     views = [np.asarray(view, dtype=float) for view in views]
     if delta is not None:
         _check_bandwidth(delta)
     _check_finite_views(views)
-    graphs = []
-    for view in views:
+    counts = sorted({view.shape[1] for view in views})
+    if len(counts) > 1:
+        raise InconsistentSampleCounts(f"views disagree on sample count: {counts}")
+    graphs = np.empty((len(views), m, counts[0] if counts else 0))
+    for view, graph in zip(views, graphs):
         prepared = standardize_features(view) if standardize else view
         anchors = sample_anchors(prepared, m, seed)
-        sqdist = _squared_distances(prepared, anchors.anchors, anchors.indices)
-        graphs.append(_rbf(sqdist, delta if delta is not None else _bandwidth(sqdist)))
+        _squared_distances(prepared, anchors.anchors, anchors.indices, out=graph)
+        _rbf(graph, delta if delta is not None else _bandwidth(graph))
     return graphs

@@ -15,6 +15,11 @@ shrinkage for both auxiliary tensors, then a gradient step on the
 multipliers with a geometrically growing penalty. The projection systems
 share one matrix per view up to the penalty, so each view's Gram matrix is
 eigendecomposed once per solve and every linear solve is two GEMMs.
+
+Every block is one view-major array with view p at ``x[p]``: graphs are
+v x m x n, projections (and A, Y) v x m x bits, codes (and E, J)
+v x bits x n. Each update is one batched expression over the views; the
+tensor operators take the view as mode 3 through ``np.moveaxis`` views.
 """
 
 import time
@@ -60,10 +65,10 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    projections: list          # per view, m x bits
-    codes: list                # per view, bits x n, entries +-1
-    aux_projection: np.ndarray  # m x bits x v
-    aux_code: np.ndarray        # bits x n x v
+    projections: np.ndarray     # v x m x bits
+    codes: np.ndarray           # v x bits x n, entries +-1
+    aux_projection: np.ndarray  # v x m x bits
+    aux_code: np.ndarray        # v x bits x n
     dual_projection: np.ndarray
     dual_code: np.ndarray
     mu: float
@@ -74,8 +79,8 @@ class SolverState:
 class IterationRecord:
     iteration: int
     objective: float
-    res_projection: float  # ||stack(Q) - A||_F
-    res_code: float        # ||stack(B) - E||_F
+    res_projection: float  # ||Q - A||_F
+    res_code: float        # ||B - E||_F
     mu: float
     seconds: float
     projection_residual: float  # relative normal-equation residual of the Q step
@@ -83,24 +88,15 @@ class IterationRecord:
 
 @dataclass
 class HashCodes:
-    per_view: list
+    per_view: np.ndarray  # v x bits x n
     fused: np.ndarray
     stop_reason: str  # "tolerance" or "max_iter"
-
-
-def stack_views(mats):
-    """Stack per-view matrices into a tensor with the view as mode 3."""
-    return np.stack(mats, axis=2)
-
-
-def unstack_views(tensor):
-    return [np.ascontiguousarray(tensor[:, :, p]) for p in range(tensor.shape[2])]
 
 
 def fuse_codes(per_view):
     """Majority vote across views: sign of the summed code matrices,
     with ties going to +1."""
-    if not per_view:
+    if len(per_view) == 0:
         raise ShapeMismatch("need at least one code matrix")
     shape = per_view[0].shape
     for b in per_view:
@@ -109,60 +105,59 @@ def fuse_codes(per_view):
     return sign_pm1(np.sum(per_view, axis=0))
 
 
+def _graph_stack(graphs):
+    """The v x m x n float stack of a list or stack of m x n graphs, after
+    checking that every view has the same sample and anchor counts."""
+    if len(graphs) == 0:
+        raise InconsistentSampleCounts("need at least one view")
+    m, n = np.shape(graphs[0])
+    for rows, cols in map(np.shape, graphs):
+        if cols != n:
+            raise InconsistentSampleCounts(f"views disagree on sample count: {cols} vs {n}")
+        if rows != m:
+            raise ShapeMismatch(f"views disagree on anchor count: {rows} vs {m}")
+    return np.asarray(graphs, dtype=float)
+
+
 def init_state(graphs, config):
     """Seeded initialization.
 
     Projections are i.i.d. normal scaled by 1/sqrt(m); codes are the signs
     of the projected graphs; both auxiliary tensors start as copies of the
-    corresponding stacks, so the initial primal residuals are exactly 0.
+    corresponding blocks, so the initial primal residuals are exactly 0.
     """
-    if not graphs:
-        raise InconsistentSampleCounts("need at least one view")
-    m, n = graphs[0].shape
-    for g in graphs:
-        if g.shape[1] != n:
-            raise InconsistentSampleCounts(
-                f"views disagree on sample count: {g.shape[1]} vs {n}"
-            )
-        if g.shape[0] != m:
-            raise ShapeMismatch(
-                f"views disagree on anchor count: {g.shape[0]} vs {m}"
-            )
+    graphs = _graph_stack(graphs)
+    v, m, _ = graphs.shape
     rng = np.random.default_rng(config.seed)
-    projections = [
-        rng.standard_normal((m, config.bits)) / np.sqrt(m) for _ in graphs
-    ]
-    codes = [sign_pm1(q.T @ g) for q, g in zip(projections, graphs)]
-    aux_projection = stack_views(projections)
-    aux_code = stack_views(codes)
+    projections = rng.standard_normal((v, m, config.bits)) / np.sqrt(m)
+    codes = sign_pm1(projections.mT @ graphs)
     return SolverState(
         projections=projections,
         codes=codes,
-        aux_projection=aux_projection,
-        aux_code=aux_code,
-        dual_projection=np.zeros_like(aux_projection),
-        dual_code=np.zeros_like(aux_code),
+        aux_projection=projections.copy(),
+        aux_code=codes.copy(),
+        dual_projection=np.zeros_like(projections),
+        dual_code=np.zeros_like(codes),
         mu=config.mu0,
     )
 
 
 def gram_factors(graphs):
-    """Per view graph phi, the triple ``(gram, values, basis)``: the Gram
-    matrix phi phi' and its eigendecomposition
-    ``gram = basis @ diag(values) @ basis.T``.
+    """The triple ``(gram, values, basis)`` of a graph stack phi: the Gram
+    matrices phi phi' and their eigendecompositions
+    ``gram[p] = basis[p] @ diag(values[p]) @ basis[p].T``.
 
     The factors serve every projection step from the first on, so a
     non-finite Gram matrix is reported as :class:`NonFinite` at
     iteration 1, before ``eigh`` fails on it.
     """
-    factors = []
-    for p, g in enumerate(graphs):
-        gram = g @ g.T
-        if not np.all(np.isfinite(gram)):
-            raise NonFinite(f"non-finite Gram matrix of view {p + 1}", iteration=1)
-        values, basis = np.linalg.eigh(gram)
-        factors.append((gram, values, basis))
-    return factors
+    gram = graphs @ graphs.mT
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    if not finite.all():
+        view = int(np.argmin(finite)) + 1
+        raise NonFinite(f"non-finite Gram matrix of view {view}", iteration=1)
+    values, basis = np.linalg.eigh(gram)
+    return gram, values, basis
 
 
 def update_projections(state, graphs, config, factors=None, with_residual=False):
@@ -172,110 +167,89 @@ def update_projections(state, graphs, config, factors=None, with_residual=False)
     view through the eigendecomposition of phi phi' (``factors``, from
     :func:`gram_factors`, computed here when not given); the system is
     positive definite for any mu > 0. Optionally also returns the largest
-    relative residual of these normal equations, taken against the Gram
-    matrix itself.
+    relative residual of these normal equations over the views, taken
+    against the Gram matrix itself.
     """
     mu = state.mu
-    if factors is None:
-        factors = gram_factors(graphs)
-    updated = []
-    worst = 0.0
-    for p, (g, (gram, values, basis)) in enumerate(zip(graphs, factors)):
-        rhs = (
-            2.0 * config.alpha * (g @ state.codes[p].T)
-            + mu * state.aux_projection[:, :, p]
-            - state.dual_projection[:, :, p]
-        )
-        scale = 2.0 * config.alpha * values + mu
-        q = basis @ ((basis.T @ rhs) / scale[:, None])
-        updated.append(q)
-        if with_residual:
-            denom = np.linalg.norm(rhs)
-            lhs_q = 2.0 * config.alpha * (gram @ q) + mu * q
-            res = np.linalg.norm(lhs_q - rhs) / (denom if denom else 1.0)
-            worst = max(worst, res)
-    return (updated, worst) if with_residual else updated
+    gram, values, basis = gram_factors(graphs) if factors is None else factors
+    rhs = (
+        2.0 * config.alpha * (graphs @ state.codes.mT)
+        + mu * state.aux_projection
+        - state.dual_projection
+    )
+    scale = 2.0 * config.alpha * values + mu
+    updated = basis @ ((basis.mT @ rhs) / scale[:, :, None])
+    if not with_residual:
+        return updated
+    lhs = 2.0 * config.alpha * (gram @ updated) + mu * updated
+    denom = np.linalg.norm(rhs, axis=(1, 2))
+    res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / np.where(denom > 0, denom, 1.0)
+    return updated, float(res.max())
 
 
 def update_codes(state, graphs, config):
     """Closed-form sign step: B = sign(alpha Q' phi + (mu E - J) / 2),
     the exact maximizer of the code subproblem's trace objective."""
-    updated = []
-    for p, g in enumerate(graphs):
-        arg = (
-            config.alpha * (state.projections[p].T @ g)
-            + 0.5 * (state.mu * state.aux_code[:, :, p] - state.dual_code[:, :, p])
-        )
-        updated.append(sign_pm1(arg))
-    return updated
+    return sign_pm1(
+        config.alpha * (state.projections.mT @ graphs)
+        + 0.5 * (state.mu * state.aux_code - state.dual_code)
+    )
 
 
-def _aux_update(block_stack, dual, mu, zeta, n):
-    lead = max(block_stack.shape[0], block_stack.shape[2])
-    lam = 1.0 / np.sqrt(lead * n)
-    return enhanced_tensor_svt(block_stack + dual / mu, mu, zeta, lam)
+def _aux_update(block, dual, mu, zeta, n):
+    """Two-stage shrinkage of the view-major ``block + dual / mu``, with
+    the view as mode 3 of the tensor operator."""
+    v, rows, _ = block.shape
+    lam = 1.0 / np.sqrt(max(rows, v) * n)
+    tensor = np.moveaxis(block + dual / mu, 0, 2)
+    return np.moveaxis(enhanced_tensor_svt(tensor, mu, zeta, lam), 2, 0)
 
 
 def update_aux_projection(state, config):
-    """Two-stage shrinkage of stack(Q) + Y/mu with the weight
+    """Two-stage shrinkage of Q + Y/mu with the weight
     1/sqrt(max(m, v) * n)."""
-    n = state.codes[0].shape[1]
+    n = state.codes.shape[2]
     return _aux_update(
-        stack_views(state.projections), state.dual_projection,
-        state.mu, config.zeta, n,
+        state.projections, state.dual_projection, state.mu, config.zeta, n,
     )
 
 
 def update_aux_code(state, config):
-    """Same shrinkage applied to stack(B) + J/mu, weight
+    """Same shrinkage applied to B + J/mu, weight
     1/sqrt(max(bits, v) * n)."""
-    n = state.codes[0].shape[1]
-    return _aux_update(
-        stack_views(state.codes), state.dual_code,
-        state.mu, config.zeta, n,
-    )
+    n = state.codes.shape[2]
+    return _aux_update(state.codes, state.dual_code, state.mu, config.zeta, n)
 
 
 def update_multipliers(state, config):
     """Gradient step on both multipliers, then grow the shared penalty:
     mu <- min(rho * mu, mu_max)."""
     dual_projection = state.dual_projection + state.mu * (
-        stack_views(state.projections) - state.aux_projection
+        state.projections - state.aux_projection
     )
-    dual_code = state.dual_code + state.mu * (
-        stack_views(state.codes) - state.aux_code
-    )
+    dual_code = state.dual_code + state.mu * (state.codes - state.aux_code)
     mu = min(config.rho * state.mu, config.mu_max)
     return dual_projection, dual_code, mu
 
 
 def objective_value(state, graphs, config):
     """Data-fit term plus both enhanced tensor nuclear norms."""
-    fit = sum(
-        np.linalg.norm(state.projections[p].T @ g - state.codes[p]) ** 2
-        for p, g in enumerate(graphs)
-    )
+    fit = np.linalg.norm(state.projections.mT @ graphs - state.codes) ** 2
     return (
         config.alpha * fit
-        + enhanced_tensor_nuclear_norm(stack_views(state.projections), config.zeta)
-        + enhanced_tensor_nuclear_norm(stack_views(state.codes), config.zeta)
+        + enhanced_tensor_nuclear_norm(np.moveaxis(state.projections, 0, 2), config.zeta)
+        + enhanced_tensor_nuclear_norm(np.moveaxis(state.codes, 0, 2), config.zeta)
     )
 
 
 def _check_finite(state, iteration):
-    for name, arr in (
-        ("projections", state.projections),
-        ("aux_projection", [state.aux_projection]),
-        ("aux_code", [state.aux_code]),
-        ("dual_projection", [state.dual_projection]),
-        ("dual_code", [state.dual_code]),
-    ):
-        for a in arr:
-            if not np.all(np.isfinite(a)):
-                raise NonFinite(
-                    f"non-finite value in {name} at iteration {iteration}",
-                    iteration=iteration,
-                )
+    for name in ("projections", "aux_projection", "aux_code",
+                 "dual_projection", "dual_code"):
+        if not np.all(np.isfinite(getattr(state, name))):
+            raise NonFinite(
+                f"non-finite value in {name} at iteration {iteration}",
+                iteration=iteration,
+            )
 
 
 def solve(graphs, config):
@@ -287,7 +261,7 @@ def solve(graphs, config):
     which ("tolerance" or "max_iter"). Returns the hash codes and the
     per-iteration history.
     """
-    graphs = [np.asarray(g, dtype=float) for g in graphs]
+    graphs = _graph_stack(graphs)
     state = init_state(graphs, config)
     factors = gram_factors(graphs)
     q_size = np.sqrt(state.aux_projection.size)
@@ -305,8 +279,8 @@ def solve(graphs, config):
         state.aux_projection = update_aux_projection(state, config)
         state.aux_code = update_aux_code(state, config)
         _check_finite(state, it)
-        res_q = float(np.linalg.norm(stack_views(state.projections) - state.aux_projection))
-        res_b = float(np.linalg.norm(stack_views(state.codes) - state.aux_code))
+        res_q = float(np.linalg.norm(state.projections - state.aux_projection))
+        res_b = float(np.linalg.norm(state.codes - state.aux_code))
         obj = float(objective_value(state, graphs, config))
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
             state, config
@@ -325,8 +299,6 @@ def solve(graphs, config):
             stop_reason = "tolerance"
             break
     codes = HashCodes(
-        per_view=[b.copy() for b in state.codes],
-        fused=fuse_codes(state.codes),
-        stop_reason=stop_reason,
+        per_view=state.codes, fused=fuse_codes(state.codes), stop_reason=stop_reason,
     )
     return codes, history

@@ -158,18 +158,18 @@ def test_criterion_3_subproblem_exactness(synthetic_run):
         rng = np.random.default_rng(3000 + i)
         bits = int(rng.integers(1, 5))
         n = int(rng.integers(1, 12 // bits + 1))
-        graphs = [rng.standard_normal((3, n))]
+        graphs = rng.standard_normal((1, 3, n))
         config = SolverConfig(
             alpha=float(rng.uniform(0.1, 2.0)), bits=bits,
             mu0=float(rng.uniform(0.1, 2.0)), seed=int(rng.integers(1000)),
         )
         state = init_state(graphs, config)
-        state.aux_code = rng.standard_normal((bits, n, 1))
-        state.dual_code = rng.standard_normal((bits, n, 1))
+        state.aux_code = rng.standard_normal((1, bits, n))
+        state.dual_code = rng.standard_normal((1, bits, n))
         got = update_codes(state, graphs, config)[0]
         target = (
             config.alpha * (state.projections[0].T @ graphs[0])
-            + 0.5 * (state.mu * state.aux_code[:, :, 0] - state.dual_code[:, :, 0])
+            + 0.5 * (state.mu * state.aux_code[0] - state.dual_code[0])
         )
         _, best_val = oracles.best_sign_matrix(target)
         if np.trace(got.T @ target) < best_val - 1e-10:

@@ -70,6 +70,15 @@ def test_unknown_command_is_usage_error():
     assert run_cli("frobnicate") == 2
 
 
+@pytest.mark.parametrize("command", [["cluster", "ds"], ["sweep", "ds", "--out", "x.csv"],
+                                     ["bench", "--sizes", "100"]])
+@pytest.mark.parametrize("flag", [["--tol", "0"], ["--alpha", "-1"], ["--zeta", "-0.5"]])
+def test_bad_solver_parameter_is_usage_error(command, flag, capsys):
+    # rejected while parsing, before the (missing) dataset is opened
+    assert run_cli(*command, *flag) == 2
+    assert f"argument {flag[0]}: must be" in capsys.readouterr().err
+
+
 def test_runtime_failure_exit_code(tmp_path, capsys):
     code = run_cli("cluster", str(tmp_path / "missing"), "--k", "2")
     assert code == 1

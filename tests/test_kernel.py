@@ -6,6 +6,7 @@ from tenhash import kernel
 from tenhash.data import gen_gaussian_clusters
 from tenhash.exceptions import (
     AnchorCountExceedsSamples,
+    InconsistentSampleCounts,
     NonFiniteInput,
     NonPositiveBandwidth,
     TenhashError,
@@ -116,8 +117,15 @@ def test_kernelize_views_matches_explicit_difference_oracle():
     data = gen_gaussian_clusters(k=4, v=2, n=400, dims=[4, 4], sep=8, seed=1)
     got = kernelize_views(data.views, 100, seed=0, standardize=False)
     want = oracles.explicit_difference_graphs(data.views, 100, seed=0)
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == float and got.shape == (2, 100, 400)
     for g, w in zip(got, want):
         assert np.allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_kernelize_views_rejects_unequal_sample_counts(rng):
+    with pytest.raises(InconsistentSampleCounts):
+        kernelize_views([rng.standard_normal((3, 10)), rng.standard_normal((3, 9))], 4, seed=0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -11,7 +11,6 @@ from tenhash.solver import (
     init_state,
     objective_value,
     solve,
-    stack_views,
     update_aux_code,
     update_aux_projection,
     update_codes,
@@ -22,7 +21,7 @@ from tenhash.tensor_ops import enhanced_tensor_svt
 
 
 def make_graphs(rng, v=2, m=5, n=12):
-    return [rng.random((m, n)) for _ in range(v)]
+    return rng.random((v, m, n))
 
 
 def make_config(**kw):
@@ -55,8 +54,8 @@ def test_init_zero_graphs_codes_all_plus_one():
 def test_init_primal_residuals_exactly_zero(rng):
     graphs = make_graphs(rng)
     state = init_state(graphs, make_config())
-    assert np.array_equal(stack_views(state.projections), state.aux_projection)
-    assert np.array_equal(stack_views(state.codes), state.aux_code)
+    assert np.array_equal(state.projections, state.aux_projection)
+    assert np.array_equal(state.codes, state.aux_code)
     assert np.all(state.dual_projection == 0)
     assert np.all(state.dual_code == 0)
     assert state.mu == make_config().mu0
@@ -65,6 +64,14 @@ def test_init_primal_residuals_exactly_zero(rng):
 def test_init_rejects_mismatched_n(rng):
     with pytest.raises(InconsistentSampleCounts):
         init_state([rng.random((3, 5)), rng.random((3, 6))], make_config())
+
+
+@pytest.mark.parametrize("entry", [init_state, solve])
+def test_graph_lists_checked_before_stacking(rng, entry):
+    with pytest.raises(ShapeMismatch):
+        entry([rng.random((3, 5)), rng.random((4, 5))], make_config())
+    with pytest.raises(InconsistentSampleCounts):
+        entry([], make_config())
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +85,7 @@ def test_projection_update_alpha_zero(rng):
     state.aux_projection = rng.standard_normal(state.aux_projection.shape)
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
     got = update_projections(state, graphs, config)[0]
-    want = state.aux_projection[:, :, 0] - state.dual_projection[:, :, 0] / state.mu
+    want = state.aux_projection[0] - state.dual_projection[0] / state.mu
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -89,28 +96,28 @@ def test_projection_update_large_mu_limit(rng):
     state.aux_projection = rng.standard_normal(state.aux_projection.shape)
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
     got = update_projections(state, graphs, config)[0]
-    want = state.aux_projection[:, :, 0] - state.dual_projection[:, :, 0] / state.mu
+    want = state.aux_projection[0] - state.dual_projection[0] / state.mu
     assert np.max(np.abs(got - want)) <= 1e-6
 
 
 def test_projection_update_beats_perturbations():
     rng = np.random.default_rng(35)
-    graphs = [rng.random((4, 6))]
+    graphs = rng.random((1, 4, 6))
     config = make_config(alpha=0.9, bits=2, mu0=0.5)
     state = init_state(graphs, config)
-    state.aux_projection = rng.standard_normal((4, 2, 1))
-    state.dual_projection = rng.standard_normal((4, 2, 1))
+    state.aux_projection = rng.standard_normal((1, 4, 2))
+    state.dual_projection = rng.standard_normal((1, 4, 2))
     q = update_projections(state, graphs, config)[0]
     base = oracles.q_subproblem_objective(
         q, graphs[0], state.codes[0],
-        state.aux_projection[:, :, 0], state.dual_projection[:, :, 0],
+        state.aux_projection[0], state.dual_projection[0],
         config.alpha, state.mu,
     )
     for _ in range(1000):
         cand = q + rng.standard_normal(q.shape) * rng.choice([1e-3, 1e-1, 1.0])
         other = oracles.q_subproblem_objective(
             cand, graphs[0], state.codes[0],
-            state.aux_projection[:, :, 0], state.dual_projection[:, :, 0],
+            state.aux_projection[0], state.dual_projection[0],
             config.alpha, state.mu,
         )
         assert base <= other + 1e-10
@@ -130,8 +137,8 @@ def test_factored_projection_update_matches_assembled_solve(rng):
             lhs = 2.0 * config.alpha * (g @ g.T) + mu * np.eye(g.shape[0])
             rhs = (
                 2.0 * config.alpha * (g @ state.codes[p].T)
-                + mu * state.aux_projection[:, :, p]
-                - state.dual_projection[:, :, p]
+                + mu * state.aux_projection[p]
+                - state.dual_projection[p]
             )
             want = np.linalg.solve(lhs, rhs)
             assert np.linalg.norm(got[p] - want) <= 1e-10 * np.linalg.norm(want)
@@ -150,17 +157,17 @@ def test_projection_normal_equation_residual(rng):
 
 
 def test_code_update_all_positive_argument(rng):
-    graphs = [np.ones((3, 4))]
+    graphs = np.ones((1, 3, 4))
     config = make_config(alpha=1.0)
     state = init_state(graphs, config)
-    state.projections = [np.ones((3, 2))]
-    state.aux_code = np.ones((2, 4, 1))
-    state.dual_code = np.zeros((2, 4, 1))
+    state.projections = np.ones((1, 3, 2))
+    state.aux_code = np.ones((1, 2, 4))
+    state.dual_code = np.zeros((1, 2, 4))
     assert np.all(update_codes(state, graphs, config)[0] == 1.0)
 
 
 def test_code_update_zero_argument_tie(rng):
-    graphs = [np.zeros((3, 4))]
+    graphs = np.zeros((1, 3, 4))
     config = make_config(alpha=1.0)
     state = init_state(graphs, config)
     state.aux_code = np.zeros((state.aux_code.shape))
@@ -171,15 +178,15 @@ def test_code_update_zero_argument_tie(rng):
 def test_code_update_matches_brute_force():
     rng = np.random.default_rng(36)
     for trial in range(30):
-        graphs = [rng.standard_normal((3, 3))]
+        graphs = rng.standard_normal((1, 3, 3))
         config = make_config(alpha=rng.uniform(0.1, 2.0), bits=2, mu0=rng.uniform(0.1, 2.0))
         state = init_state(graphs, config)
-        state.aux_code = rng.standard_normal((2, 3, 1))
-        state.dual_code = rng.standard_normal((2, 3, 1))
+        state.aux_code = rng.standard_normal((1, 2, 3))
+        state.dual_code = rng.standard_normal((1, 2, 3))
         got = update_codes(state, graphs, config)[0]
         target = (
             config.alpha * (state.projections[0].T @ graphs[0])
-            + 0.5 * (state.mu * state.aux_code[:, :, 0] - state.dual_code[:, :, 0])
+            + 0.5 * (state.mu * state.aux_code[0] - state.dual_code[0])
         )
         best, best_val = oracles.best_sign_matrix(target)
         got_val = np.trace(got.T @ target)
@@ -195,7 +202,7 @@ def test_aux_projection_subthreshold_is_identity(rng):
     config = make_config(zeta=0.0, mu0=1e12, mu_max=1e12)
     state = init_state(graphs, config)
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
-    target = stack_views(state.projections) + state.dual_projection / state.mu
+    target = state.projections + state.dual_projection / state.mu
     got = update_aux_projection(state, config)
     assert np.max(np.abs(got - target)) <= 1e-10
 
@@ -204,7 +211,7 @@ def test_aux_projection_zero_inputs(rng):
     graphs = [np.zeros((4, 8))]
     config = make_config()
     state = init_state(graphs, config)
-    state.projections = [np.zeros((4, 3))]
+    state.projections = np.zeros((1, 4, 3))
     assert np.allclose(update_aux_projection(state, config), 0.0)
 
 
@@ -215,11 +222,12 @@ def test_aux_updates_shrink_core_nuclear_norm(rng):
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
     state.dual_code = rng.standard_normal(state.dual_code.shape)
     for update, stack, dual in (
-        (update_aux_projection, stack_views(state.projections), state.dual_projection),
-        (update_aux_code, stack_views(state.codes), state.dual_code),
+        (update_aux_projection, state.projections, state.dual_projection),
+        (update_aux_code, state.codes, state.dual_code),
     ):
-        target = stack + dual / state.mu
-        got = update(state, config)
+        # the oracles take the view as mode 3
+        target = np.moveaxis(stack + dual / state.mu, 0, 2)
+        got = np.moveaxis(update(state, config), 0, 2)
         before = oracles.matrix_nuclear_norm(oracles.spectral_singular_values(target))
         after = oracles.matrix_nuclear_norm(oracles.spectral_singular_values(got))
         assert after <= before + 1e-9
@@ -233,15 +241,15 @@ def test_aux_updates_use_documented_shrinkage_weights(rng):
     state.dual_code = rng.standard_normal(state.dual_code.shape)
     m, n, v, bits = 5, 12, 2, 3
     want_a = enhanced_tensor_svt(
-        stack_views(state.projections) + state.dual_projection / state.mu,
+        np.moveaxis(state.projections + state.dual_projection / state.mu, 0, 2),
         state.mu, config.zeta, 1.0 / np.sqrt(max(m, v) * n),
     )
     want_e = enhanced_tensor_svt(
-        stack_views(state.codes) + state.dual_code / state.mu,
+        np.moveaxis(state.codes + state.dual_code / state.mu, 0, 2),
         state.mu, config.zeta, 1.0 / np.sqrt(max(bits, v) * n),
     )
-    assert np.array_equal(update_aux_projection(state, config), want_a)
-    assert np.array_equal(update_aux_code(state, config), want_e)
+    assert np.array_equal(update_aux_projection(state, config), np.moveaxis(want_a, 2, 0))
+    assert np.array_equal(update_aux_code(state, config), np.moveaxis(want_e, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +284,10 @@ def test_multipliers_match_hand_rolled(rng):
     state.dual_code = rng.standard_normal(state.dual_code.shape)
     dual_q, dual_b, _ = update_multipliers(state, config)
     want_q = state.dual_projection + state.mu * (
-        stack_views(state.projections) - state.aux_projection
+        state.projections - state.aux_projection
     )
     want_b = state.dual_code + state.mu * (
-        stack_views(state.codes) - state.aux_code
+        state.codes - state.aux_code
     )
     assert np.array_equal(dual_q, want_q)
     assert np.array_equal(dual_b, want_b)
@@ -291,10 +299,10 @@ def test_multipliers_match_hand_rolled(rng):
 
 def test_objective_zero_graph_constant_tensors():
     v, m, n, bits = 2, 3, 5, 2
-    graphs = [np.zeros((m, n))] * v
+    graphs = np.zeros((v, m, n))
     config = make_config(alpha=0.8, bits=bits)
     state = init_state(graphs, config)
-    state.projections = [np.zeros((m, bits))] * v
+    state.projections = np.zeros((v, m, bits))
     got = objective_value(state, graphs, config)
     ones = np.ones((bits, n, v))
     etnn_ones = (
@@ -306,11 +314,11 @@ def test_objective_zero_graph_constant_tensors():
 
 
 def test_objective_all_zero_state():
-    graphs = [np.zeros((3, 4))]
+    graphs = np.zeros((1, 3, 4))
     config = make_config(alpha=0.0)
     state = init_state(graphs, config)
-    state.projections = [np.zeros((3, 3))]
-    state.codes = [np.zeros((3, 4))]
+    state.projections = np.zeros((1, 3, 3))
+    state.codes = np.zeros((1, 3, 4))
     assert objective_value(state, graphs, config) == 0.0
 
 
@@ -371,6 +379,23 @@ def test_solve_two_cluster_synthetic_converges():
     final = history[-1]
     assert max(final.res_projection / q_norm, final.res_code / b_norm) < config.tol
     assert len(history) <= 100
+
+
+def test_solve_list_and_stack_inputs_bit_identical(rng):
+    graphs = [rng.random((6, 15)) for _ in range(3)]
+    config = make_config(alpha=0.2, bits=4, max_iter=20)
+    codes_a, hist_a = solve(graphs, config)
+    codes_b, hist_b = solve(np.stack(graphs), config)
+    assert np.array_equal(codes_a.per_view, codes_b.per_view)
+    assert np.array_equal(codes_a.fused, codes_b.fused)
+    assert codes_a.stop_reason == codes_b.stop_reason
+    assert [
+        (r.objective, r.res_projection, r.res_code, r.mu, r.projection_residual)
+        for r in hist_a
+    ] == [
+        (r.objective, r.res_projection, r.res_code, r.mu, r.projection_residual)
+        for r in hist_b
+    ]
 
 
 def test_solve_deterministic(rng):
