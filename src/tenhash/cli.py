@@ -228,6 +228,9 @@ def cmd_sweep(args, parser):
 
 def cmd_bench(args, parser):
     dims = args.dims if args.dims is not None else [10] * args.views
+    if args.sizes and args.anchors > min(args.sizes):
+        parser.error(f"--anchors: {args.anchors} exceeds the smallest --sizes "
+                     f"entry, {min(args.sizes)} samples")
     # small untimed run first so BLAS thread pools are already warm
     warm = datamod.gen_gaussian_clusters(
         k=args.k, v=args.views, n=max(10 * args.k, 200), dims=dims,

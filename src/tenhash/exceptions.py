@@ -59,6 +59,10 @@ class InvalidK(TenhashError, ValueError):
     """Cluster count outside the valid range 1..n."""
 
 
+class NonSignCodes(TenhashError, ValueError):
+    """Hash codes hold a value other than -1 or +1."""
+
+
 class InvalidRatio(TenhashError, ValueError):
     """Noise ratio outside [0, 1]."""
 

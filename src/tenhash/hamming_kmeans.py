@@ -10,15 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidK, LengthMismatch
+from .exceptions import InvalidK, LengthMismatch, NonSignCodes
 
 
 @dataclass
 class ClusterModel:
-    """Binary centroids (l x k sign matrix) and one-hot assignment (k x n)."""
+    """Binary centroids (l x k sign matrix) and integer labels (n,)."""
 
     centroids: np.ndarray
-    assignment: np.ndarray
+    labels: np.ndarray
 
 
 def sign_pm1(x):
@@ -35,76 +35,88 @@ def hamming_distance(b, c):
     return int(np.sum(b != c))
 
 
-def _distance_table(codes, centroids):
-    """k x n Hamming distances via the identity H = (l - b.c) / 2."""
-    l = codes.shape[0]
-    return (l - centroids.T @ codes) / 2.0
-
-
 def assign_step(codes, centroids):
-    """Assign every sample to its nearest centroid; ties go to the lowest
-    centroid index. Returns the k x n one-hot assignment matrix."""
-    dists = _distance_table(codes, centroids)
-    nearest = np.argmin(dists, axis=0)
-    assignment = np.zeros((centroids.shape[1], codes.shape[1]))
-    assignment[nearest, np.arange(codes.shape[1])] = 1.0
-    return assignment
+    """Label every sample with its nearest centroid, the one of largest
+    inner product since H = (l - b.c) / 2; ties go to the lowest index."""
+    return np.argmax(centroids.T @ codes, axis=0)
 
 
-def centroid_step(codes, assignment):
-    """Per-cluster majority vote on each bit, with sign(0) = +1.
+def centroid_step(codes, labels, k):
+    """Per-cluster majority vote on each bit, with sign(0) = +1, from
+    per-cluster bit sums (small integers, so exact).
 
     A cluster that lost all its members is re-seeded with the sample
     currently farthest (in Hamming distance) from its assigned centroid;
     several empty clusters take successively farther distinct samples.
     """
-    centroids = sign_pm1(codes @ assignment.T)
-    sizes = assignment.sum(axis=1)
-    empty = np.flatnonzero(sizes == 0)
+    centroids = sign_pm1(np.stack([np.bincount(labels, row, k) for row in codes]))
+    empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
     if empty.size:
-        owner = np.argmax(assignment, axis=0)
-        per_sample = (codes.shape[0] - np.einsum(
-            "li,li->i", codes, centroids[:, owner])) / 2.0
-        order = np.argsort(-per_sample, kind="stable")
+        # farthest first: the smallest inner product with the own centroid
+        inner = np.einsum("li,li->i", codes, centroids[:, labels])
+        order = np.argsort(inner, kind="stable")
         for rank, j in enumerate(empty):
             centroids[:, j] = codes[:, order[rank % order.size]]
     return centroids
 
 
 def quantization_error(codes, model):
-    """||codes - centroids @ assignment||_F^2, the alternating objective."""
-    return float(np.linalg.norm(
-        codes - model.centroids @ model.assignment) ** 2)
+    """||codes - centroids[:, labels]||_F^2: 4 per disagreeing +-1 bit."""
+    return 4.0 * np.count_nonzero(codes != model.centroids[:, model.labels])
+
+
+def _check_sign_codes(codes):
+    """Raise NonSignCodes naming the first entry that is not -1 or +1
+    (bit and sample numbered from 1)."""
+    bad = np.abs(codes) != 1
+    if bad.any():
+        bit, sample = np.argwhere(bad)[0]
+        raise NonSignCodes(
+            f"code bit {bit + 1} of sample {sample + 1} is "
+            f"{codes[bit, sample]}, not -1 or +1")
+
+
+def _first_occurrences(codes):
+    """Sample index of each distinct code's first occurrence, ascending."""
+    keys = np.packbits(np.ascontiguousarray((codes > 0).T), axis=1)  # n x bytes
+    return np.sort(np.unique(keys.view(f"V{keys.shape[1]}"), return_index=True)[1])
 
 
 def binary_kmeans(codes, k, max_iter=100, seed=0):
-    """Alternating discrete k-means on hash codes.
+    """Alternating discrete k-means on +-1 hash codes.
 
-    Starts from k distinct sample codes chosen by seeded sampling
-    (duplicate codes re-drawn up to n attempts) and alternates assignment
-    and centroid steps until the assignment stops changing or max_iter.
+    Seeds with k distinct sample codes by seeded sampling (duplicates
+    re-drawn up to n times), then alternates assignment and centroid steps
+    until the labels stop changing or max_iter. With u < k distinct codes
+    the seeds are those codes in order of first sample, then samples
+    0..k-u-1 (where the empty-cluster reseed puts the other clusters), so
+    each sample's label is its code's rank in that order, at error 0.
     """
     codes = np.asarray(codes, dtype=float)
+    _check_sign_codes(codes)
     n = codes.shape[1]
     if not 1 <= k <= n:
         raise InvalidK(f"k must be in 1..{n}, got {k}")
     rng = np.random.default_rng(seed)
-    chosen = list(rng.choice(n, size=k, replace=False))
-    for _ in range(n):
+    chosen = rng.choice(n, size=k, replace=False)
+    for attempt in range(n):
         # byte keys compare +-1 columns exactly, far cheaper than np.unique
         if len({col.tobytes() for col in codes[:, chosen].T}) == k:
             break
-        chosen = list(rng.choice(n, size=k, replace=False))
-    centroids = codes[:, chosen].copy()
-
-    assignment = assign_step(codes, centroids)
-    for _ in range(max_iter):
-        centroids = centroid_step(codes, assignment)
-        new_assignment = assign_step(codes, centroids)
-        if np.array_equal(new_assignment, assignment):
+        if attempt == 0 and (first := _first_occurrences(codes)).size < k:
+            chosen = np.concatenate([first, np.arange(k - first.size)])
             break
-        assignment = new_assignment
-    return ClusterModel(centroids=centroids, assignment=assignment)
+        chosen = rng.choice(n, size=k, replace=False)
+    centroids = codes[:, chosen]
+
+    labels = assign_step(codes, centroids)
+    for _ in range(max_iter):
+        centroids = centroid_step(codes, labels, k)
+        new_labels = assign_step(codes, centroids)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return ClusterModel(centroids=centroids, labels=labels)
 
 
 def binary_kmeans_restarts(codes, k, restarts=8, max_iter=100, seed=0):
@@ -128,5 +140,5 @@ def binary_kmeans_restarts(codes, k, restarts=8, max_iter=100, seed=0):
 
 
 def labels(model):
-    """Label vector: label i = row index of the 1 in column i of G."""
-    return np.argmax(model.assignment, axis=0)
+    """Label vector: label i is the cluster of sample i."""
+    return model.labels

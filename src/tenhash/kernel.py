@@ -29,6 +29,13 @@ class AnchorSet:
         return self.anchors.shape[1]
 
 
+def _check_anchor_count(m, n):
+    if m < 1:
+        raise ValueError(f"anchor count must be >= 1, got {m}")
+    if m > n:
+        raise AnchorCountExceedsSamples(f"asked for {m} anchors from {n} samples")
+
+
 def sample_anchors(view, m, seed):
     """Pick m distinct sample columns uniformly without replacement.
 
@@ -38,10 +45,7 @@ def sample_anchors(view, m, seed):
     """
     view = np.asarray(view, dtype=float)
     d, n = view.shape
-    if m > n:
-        raise AnchorCountExceedsSamples(f"asked for {m} anchors from {n} samples")
-    if m < 1:
-        raise ValueError(f"anchor count must be >= 1, got {m}")
+    _check_anchor_count(m, n)
     rng = np.random.default_rng(seed)
     pool = np.arange(n)
     for i in range(m):
@@ -156,8 +160,9 @@ def kernelize_views(views, m, seed, standardize=True, delta=None):
     ``graphs[p]``. Each view's distance matrix is computed once, in its own
     slot of the stack, and turned into the graph in place; its mean is the
     bandwidth unless ``delta`` overrides it. Views holding NaN or Inf are
-    rejected with NonFiniteInput, and views with different sample counts
-    with InconsistentSampleCounts, before any distance is computed.
+    rejected with NonFiniteInput, views with different sample counts with
+    InconsistentSampleCounts, and an anchor count m < 1 with ValueError or
+    m > n with AnchorCountExceedsSamples, before the stack is allocated.
     """
     views = [np.asarray(view, dtype=float) for view in views]
     if delta is not None:
@@ -166,7 +171,9 @@ def kernelize_views(views, m, seed, standardize=True, delta=None):
     counts = sorted({view.shape[1] for view in views})
     if len(counts) > 1:
         raise InconsistentSampleCounts(f"views disagree on sample count: {counts}")
-    graphs = np.empty((len(views), m, counts[0] if counts else 0))
+    n = counts[0] if counts else 0
+    _check_anchor_count(m, n)
+    graphs = np.empty((len(views), m, n))
     for view, graph in zip(views, graphs):
         prepared = standardize_features(view) if standardize else view
         anchors = sample_anchors(prepared, m, seed)

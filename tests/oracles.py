@@ -192,8 +192,13 @@ def exhaustive_nearest_centroid(codes, centroids):
 def unique_redraw_seeds(codes, k, seed):
     """Initial centroid columns of binary k-means by the first seeding
     loop: draw k distinct samples, redraw up to n times while np.unique
-    finds fewer than k distinct codes among them."""
+    finds fewer than k distinct codes among them. With fewer than k
+    distinct codes in all, the u first occurrences in sample order, then
+    samples 0..k-u-1."""
     n = codes.shape[1]
+    first = sorted(np.unique(codes, axis=1, return_index=True)[1].tolist())
+    if len(first) < k:
+        return first + list(range(k - len(first)))
     rng = np.random.default_rng(seed)
     chosen = list(rng.choice(n, size=k, replace=False))
     for _ in range(n):
@@ -201,6 +206,48 @@ def unique_redraw_seeds(codes, k, seed):
             break
         chosen = list(rng.choice(n, size=k, replace=False))
     return chosen
+
+
+def one_hot_binary_kmeans(codes, k, max_iter=100, seed=0):
+    """Binary k-means with the assignment held as a dense k x n one-hot
+    matrix: seeds redrawn up to n times while any two
+    coincide, the last draw kept; centroids by the GEMM majority vote;
+    empty clusters re-seeded with the samples farthest from their
+    centroids. Returns (centroids, labels)."""
+    codes = np.asarray(codes, dtype=float)
+    l, n = codes.shape
+
+    def assign(centroids):
+        assignment = np.zeros((centroids.shape[1], n))
+        assignment[np.argmin((l - centroids.T @ codes) / 2.0, axis=0), np.arange(n)] = 1.0
+        return assignment
+
+    def centroids_of(assignment):
+        centroids = np.where(codes @ assignment.T >= 0, 1.0, -1.0)
+        empty = np.flatnonzero(assignment.sum(axis=1) == 0)
+        if empty.size:
+            owner = np.argmax(assignment, axis=0)
+            per_sample = (l - np.einsum("li,li->i", codes, centroids[:, owner])) / 2.0
+            order = np.argsort(-per_sample, kind="stable")
+            for rank, j in enumerate(empty):
+                centroids[:, j] = codes[:, order[rank % order.size]]
+        return centroids
+
+    rng = np.random.default_rng(seed)
+    chosen = list(rng.choice(n, size=k, replace=False))
+    for _ in range(n):
+        if len({col.tobytes() for col in codes[:, chosen].T}) == k:
+            break
+        chosen = list(rng.choice(n, size=k, replace=False))
+    centroids = codes[:, chosen].copy()
+    assignment = assign(centroids)
+    for _ in range(max_iter):
+        centroids = centroids_of(assignment)
+        new_assignment = assign(centroids)
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    return centroids, np.argmax(assignment, axis=0)
 
 
 def best_centroids_exhaustive(codes, assign, l, k):

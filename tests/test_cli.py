@@ -79,6 +79,14 @@ def test_bad_solver_parameter_is_usage_error(command, flag, capsys):
     assert f"argument {flag[0]}: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("anchors", ["500", "1000000000"])
+def test_bench_anchors_above_smallest_size_is_usage_error(anchors, capsys):
+    # rejected before the warm-up solve or any allocation
+    assert run_cli("bench", "--sizes", "300,100", "--anchors", anchors) == 2
+    err = capsys.readouterr().err
+    assert f"--anchors: {anchors} exceeds the smallest --sizes entry, 100 samples" in err
+
+
 def test_runtime_failure_exit_code(tmp_path, capsys):
     code = run_cli("cluster", str(tmp_path / "missing"), "--k", "2")
     assert code == 1

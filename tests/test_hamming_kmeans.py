@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tenhash.exceptions import InvalidK, LengthMismatch
+from tenhash import hamming_kmeans
+from tenhash.exceptions import InvalidK, LengthMismatch, NonSignCodes, TenhashError
 from tenhash.hamming_kmeans import (
+    ClusterModel,
     assign_step,
     binary_kmeans,
     binary_kmeans_restarts,
@@ -62,33 +64,33 @@ def test_hamming_inner_product_identity(pairs):
 def test_assign_exact_match(rng):
     codes = random_codes(rng, 6, 10)
     centroids = codes[:, [3, 7]].copy()
-    assignment = assign_step(codes, centroids)
-    assert assignment[0, 3] == 1
-    assert assignment[1, 7] == 1
+    assigned = assign_step(codes, centroids)
+    assert assigned[3] == 0
+    assert assigned[7] == 1
 
 
 def test_assign_tie_goes_to_lowest_index():
     centroids = np.array([[1.0, -1.0], [1.0, -1.0]])
     sample = np.array([[1.0], [-1.0]])  # distance 1 to both
-    assignment = assign_step(sample, centroids)
-    assert assignment[0, 0] == 1 and assignment[1, 0] == 0
+    assert assign_step(sample, centroids).tolist() == [0]
 
 
 def test_assign_matches_exhaustive_oracle(rng):
     codes = random_codes(rng, 4, 6)
     centroids = random_codes(rng, 4, 2)
-    assignment = assign_step(codes, centroids)
     want = oracles.exhaustive_nearest_centroid(codes, centroids)
-    assert np.array_equal(np.argmax(assignment, axis=0), want)
+    assert np.array_equal(assign_step(codes, centroids), want)
 
 
 def test_assign_columns_one_hot(rng):
     for _ in range(10):
         codes = random_codes(rng, 5, 12)
         centroids = random_codes(rng, 5, 3)
-        assignment = assign_step(codes, centroids)
-        assert np.all(assignment.sum(axis=0) == 1)
-        assert set(np.unique(assignment)) <= {0.0, 1.0}
+        assigned = assign_step(codes, centroids)
+        # exactly one integer cluster index per sample
+        assert assigned.shape == (12,)
+        assert np.issubdtype(assigned.dtype, np.integer)
+        assert set(np.unique(assigned)) <= {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -98,22 +100,18 @@ def test_assign_columns_one_hot(rng):
 def test_centroid_single_cluster_identical_codes():
     code = np.array([[1.0], [-1.0], [1.0]])
     codes = np.repeat(code, 5, axis=1)
-    assignment = np.ones((1, 5))
-    assert np.array_equal(centroid_step(codes, assignment), code)
+    assert np.array_equal(centroid_step(codes, np.zeros(5, dtype=int), 1), code)
 
 
 def test_centroid_tie_bit_positive():
     codes = np.array([[1.0, -1.0]])
-    assignment = np.ones((1, 2))
-    assert centroid_step(codes, assignment)[0, 0] == 1.0
+    assert centroid_step(codes, np.zeros(2, dtype=int), 1)[0, 0] == 1.0
 
 
 def test_centroid_matches_exhaustive_oracle(rng):
     codes = random_codes(rng, 3, 8)
     assign = rng.integers(0, 2, size=8)
-    assignment = np.zeros((2, 8))
-    assignment[assign, np.arange(8)] = 1
-    got = centroid_step(codes, assignment)
+    got = centroid_step(codes, assign, 2)
     cost_got = sum(
         oracles.hamming_count(codes[:, i], got[:, assign[i]]) for i in range(8)
     )
@@ -123,10 +121,8 @@ def test_centroid_matches_exhaustive_oracle(rng):
 
 def test_centroid_empty_cluster_reseeded(rng):
     codes = random_codes(rng, 4, 6)
-    assignment = np.zeros((3, 6))
-    assignment[0, :3] = 1
-    assignment[1, 3:] = 1  # cluster 2 empty
-    centroids = centroid_step(codes, assignment)
+    assigned = np.array([0, 0, 0, 1, 1, 1])  # cluster 2 empty
+    centroids = centroid_step(codes, assigned, 3)
     # reseeded centroid must be one of the sample codes
     assert any(
         np.array_equal(centroids[:, 2], codes[:, i]) for i in range(6)
@@ -173,20 +169,18 @@ def test_kmeans_invalid_k(rng):
 
 
 def test_kmeans_objective_nonincreasing(rng):
-    from tenhash.hamming_kmeans import ClusterModel
-
     for trial in range(10):
         codes = random_codes(rng, 6, 30)
         k = 4
         seeded = np.random.default_rng(trial)
         chosen = seeded.choice(30, size=k, replace=False)
         centroids = codes[:, chosen].copy()
-        assignment = assign_step(codes, centroids)
-        prev = quantization_error(codes, ClusterModel(centroids, assignment))
+        assigned = assign_step(codes, centroids)
+        prev = quantization_error(codes, ClusterModel(centroids, assigned))
         for _ in range(20):
-            centroids = centroid_step(codes, assignment)
-            assignment = assign_step(codes, centroids)
-            cur = quantization_error(codes, ClusterModel(centroids, assignment))
+            centroids = centroid_step(codes, assigned, k)
+            assigned = assign_step(codes, centroids)
+            cur = quantization_error(codes, ClusterModel(centroids, assigned))
             assert cur <= prev + 1e-9
             prev = cur
 
@@ -194,7 +188,9 @@ def test_kmeans_objective_nonincreasing(rng):
 def test_kmeans_assignment_always_one_hot(rng):
     codes = random_codes(rng, 5, 25)
     model = binary_kmeans(codes, 3, seed=2)
-    assert np.all(model.assignment.sum(axis=0) == 1)
+    # exactly one cluster index in 0..k-1 per sample
+    assert model.labels.shape == (25,)
+    assert set(np.unique(model.labels)) <= {0, 1, 2}
     assert np.all(np.isin(model.centroids, (-1.0, 1.0)))
 
 
@@ -203,12 +199,13 @@ def test_kmeans_deterministic(rng):
     a = binary_kmeans(codes, 3, seed=9)
     b = binary_kmeans(codes, 3, seed=9)
     assert np.array_equal(a.centroids, b.centroids)
-    assert np.array_equal(a.assignment, b.assignment)
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_kmeans_seeding_matches_unique_oracle(rng):
     # 10 distinct 4-bit codes over 60 samples: k=6 redraws until its seeds
-    # are distinct, k=12 never finds distinct seeds and keeps the last draw
+    # are distinct, k=12 has fewer distinct codes than clusters and seeds
+    # with the first occurrences
     patterns = np.array(
         [[1.0 if (c >> b) & 1 else -1.0 for c in range(10)] for b in range(4)])
     codes = patterns[:, rng.permutation(np.arange(60) % 10)]
@@ -216,15 +213,15 @@ def test_kmeans_seeding_matches_unique_oracle(rng):
         for seed in range(8):
             model = binary_kmeans(codes, k, seed=seed)
             centroids = codes[:, oracles.unique_redraw_seeds(codes, k, seed)].copy()
-            assignment = assign_step(codes, centroids)
+            assigned = assign_step(codes, centroids)
             for _ in range(100):
-                centroids = centroid_step(codes, assignment)
-                new_assignment = assign_step(codes, centroids)
-                if np.array_equal(new_assignment, assignment):
+                centroids = centroid_step(codes, assigned, k)
+                new_assigned = assign_step(codes, centroids)
+                if np.array_equal(new_assigned, assigned):
                     break
-                assignment = new_assignment
+                assigned = new_assigned
             assert np.array_equal(model.centroids, centroids)
-            assert np.array_equal(model.assignment, assignment)
+            assert np.array_equal(model.labels, assigned)
 
 
 def test_kmeans_restarts_no_worse_than_single(rng):
@@ -235,9 +232,68 @@ def test_kmeans_restarts_no_worse_than_single(rng):
 
 
 def test_labels_extraction():
-    assignment = np.zeros((3, 4))
-    assignment[[2, 0, 1, 2], np.arange(4)] = 1
-    from tenhash.hamming_kmeans import ClusterModel
-
-    model = ClusterModel(centroids=np.ones((2, 3)), assignment=assignment)
+    model = ClusterModel(centroids=np.ones((2, 3)), labels=np.array([2, 0, 1, 2]))
     assert labels(model).tolist() == [2, 0, 1, 2]
+
+
+def test_kmeans_matches_one_hot_reference(rng):
+    # u >= k: labels and centroids bit-identical to the one-hot formulation,
+    # including 3-bit codes whose seed draws often need redrawing, and
+    # u == k (all 8 3-bit codes for k=8), which keeps the redraw loop
+    for l, n, k in ((3, 40, 5), (3, 40, 8), (6, 60, 4), (16, 80, 7)):
+        codes = random_codes(rng, l, n)
+        assert np.unique(codes, axis=1).shape[1] >= k
+        for seed in range(6):
+            model = binary_kmeans(codes, k, seed=seed)
+            centroids, want = oracles.one_hot_binary_kmeans(codes, k, seed=seed)
+            assert np.array_equal(model.centroids, centroids)
+            assert np.array_equal(model.labels, want)
+
+
+def test_kmeans_fewer_distinct_codes_than_k(rng):
+    # 3 distinct codes for k=5: each sample is labelled by the rank of its
+    # code's first occurrence, whatever the seed, at error 0
+    patterns = random_codes(np.random.default_rng(7), 8, 3)
+    assert np.unique(patterns, axis=1).shape[1] == 3
+    pick = rng.integers(0, 3, size=50)
+    codes = patterns[:, pick]
+    rank = {p: r for r, p in enumerate(dict.fromkeys(pick.tolist()))}
+    want = [rank[p] for p in pick.tolist()]
+    for seed in range(10):
+        model = binary_kmeans(codes, 5, seed=seed)
+        assert model.labels.tolist() == want
+        assert model.centroids.shape == (8, 5)
+        assert quantization_error(codes, model) == 0.0
+    best = binary_kmeans_restarts(codes, 5, restarts=4, seed=3)
+    assert best.labels.tolist() == want
+
+
+def test_kmeans_counts_distinct_codes_only_after_a_failed_draw(rng, monkeypatch):
+    calls = []
+    first_occurrences = hamming_kmeans._first_occurrences
+
+    def counted(codes):
+        calls.append(1)
+        return first_occurrences(codes)
+
+    monkeypatch.setattr(hamming_kmeans, "_first_occurrences", counted)
+    binary_kmeans(np.unique(random_codes(rng, 12, 30), axis=1), 5, seed=0)
+    assert calls == []  # every column distinct: the first draw is
+    codes = np.repeat(random_codes(rng, 12, 6), 5, axis=1)
+    for seed in range(5):
+        calls.clear()
+        binary_kmeans(codes, 5, seed=seed)
+        assert len(calls) <= 1
+    calls.clear()
+    binary_kmeans(codes, 6, seed=0)  # u = k: redraws, counted once
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("value", [0.0, 0.5, -2.0, np.nan])
+def test_kmeans_rejects_non_sign_codes(rng, value):
+    codes = random_codes(rng, 4, 9)
+    codes[2, 6] = value
+    with pytest.raises(NonSignCodes) as info:
+        binary_kmeans(codes, 2)
+    assert isinstance(info.value, TenhashError) and isinstance(info.value, ValueError)
+    assert f"code bit 3 of sample 7 is {value}" in str(info.value)

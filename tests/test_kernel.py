@@ -128,6 +128,16 @@ def test_kernelize_views_rejects_unequal_sample_counts(rng):
         kernelize_views([rng.standard_normal((3, 10)), rng.standard_normal((3, 9))], 4, seed=0)
 
 
+def test_kernelize_views_checks_anchor_count_before_allocating(rng):
+    views = [rng.standard_normal((2, 10)), rng.standard_normal((3, 10))]
+    with pytest.raises(ValueError, match="anchor count must be >= 1, got -1"):
+        kernelize_views(views, -1, seed=0)
+    # a v x m x n stack for this m would take 149 GiB
+    with pytest.raises(AnchorCountExceedsSamples,
+                       match="asked for 1000000000 anchors from 10 samples"):
+        kernelize_views(views, 10**9, seed=0)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_kernelize_views_rejects_non_finite_naming_position(rng, monkeypatch, value):
     views = [rng.standard_normal((3, 10)), rng.standard_normal((4, 10))]
