@@ -37,13 +37,14 @@ def _ratio(text):
 
 def _at_least(kind, low, strict=False):
     """argparse type: ``kind`` of the text, rejected below ``low`` (and at
-    it when ``strict``); NaN is rejected too."""
+    it when ``strict``); NaN and +-inf are rejected too."""
     relation = ">" if strict else ">="
 
     def parse(text):
         value = kind(text)
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(f"must be {relation} {low}, got {text}")
+        if not (value > low if strict else value >= low) or value == np.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {relation} {low}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -62,9 +63,10 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _float_list(text):
+def _alpha_list(text):
+    """Comma-separated --alphas grid, each entry under the --alpha rule."""
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        return [_nonnegative_float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
@@ -315,7 +317,7 @@ def build_parser():
     synth.add_argument("--n", type=_positive_int, required=True)
     synth.add_argument("--dims", type=_int_list, default=None,
                        help="per-view feature dims, e.g. 10,10")
-    synth.add_argument("--sep", type=float, default=8.0)
+    synth.add_argument("--sep", type=_nonnegative_float, default=8.0)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", required=True)
     synth.add_argument("--force", action="store_true")
@@ -343,7 +345,7 @@ def build_parser():
     sweep = subs.add_parser("sweep", help="repeat cluster over an alpha grid")
     sweep.add_argument("dataset")
     _add_pipeline_flags(sweep)
-    sweep.add_argument("--alphas", type=_float_list, default=None,
+    sweep.add_argument("--alphas", type=_alpha_list, default=None,
                        help="comma-separated grid (default 1e-8..1e2 decades)")
     sweep.add_argument("--out", required=True, help="aggregated CSV path")
     sweep.set_defaults(func=cmd_sweep)
@@ -354,7 +356,7 @@ def build_parser():
     bench.add_argument("--k", type=_positive_int, default=4)
     bench.add_argument("--views", type=_positive_int, default=2)
     bench.add_argument("--dims", type=_int_list, default=None)
-    bench.add_argument("--sep", type=float, default=8.0)
+    bench.add_argument("--sep", type=_nonnegative_float, default=8.0)
     bench.add_argument("--anchors", type=_positive_int, default=500)
     bench.add_argument("--bits", type=_positive_int, default=32)
     bench.add_argument("--alpha", type=_nonnegative_float, default=DEFAULT_ALPHA)

@@ -215,8 +215,8 @@ def gen_gaussian_clusters(k, v, n, dims, sep, seed):
         raise InvalidArgs(f"need k >= 1, n >= k, v >= 1; got k={k}, n={n}, v={v}")
     if len(dims) != v or any(d < 1 for d in dims):
         raise InvalidArgs(f"dims must list {v} positive dimensionalities, got {dims}")
-    if sep < 0:
-        raise InvalidArgs(f"sep must be >= 0, got {sep}")
+    if not 0 <= sep < np.inf:
+        raise InvalidArgs(f"sep must be finite and >= 0, got {sep}")
     rng = np.random.default_rng(seed)
     counts = [n // k + (1 if c < n % k else 0) for c in range(k)]
     labels = np.repeat(np.arange(k), counts)

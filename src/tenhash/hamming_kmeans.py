@@ -12,6 +12,8 @@ import numpy as np
 
 from .exceptions import InvalidK, LengthMismatch, NonSignCodes
 
+MAX_ITER = 100  # assignment/centroid rounds per k-means run
+
 
 @dataclass
 class ClusterModel:
@@ -82,15 +84,16 @@ def _first_occurrences(codes):
     return np.sort(np.unique(keys.view(f"V{keys.shape[1]}"), return_index=True)[1])
 
 
-def binary_kmeans(codes, k, max_iter=100, seed=0):
+def binary_kmeans(codes, k, seed=0):
     """Alternating discrete k-means on +-1 hash codes.
 
     Seeds with k distinct sample codes by seeded sampling (duplicates
     re-drawn up to n times), then alternates assignment and centroid steps
-    until the labels stop changing or max_iter. With u < k distinct codes
-    the seeds are those codes in order of first sample, then samples
-    0..k-u-1 (where the empty-cluster reseed puts the other clusters), so
-    each sample's label is its code's rank in that order, at error 0.
+    until the labels stop changing or for MAX_ITER rounds. With u < k
+    distinct codes the seeds are those codes in order of first sample, then
+    samples 0..k-u-1 (where the empty-cluster reseed puts the other
+    clusters), so each sample's label is its code's rank in that order, at
+    error 0.
     """
     codes = np.asarray(codes, dtype=float)
     _check_sign_codes(codes)
@@ -110,7 +113,7 @@ def binary_kmeans(codes, k, max_iter=100, seed=0):
     centroids = codes[:, chosen]
 
     labels = assign_step(codes, centroids)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         centroids = centroid_step(codes, labels, k)
         new_labels = assign_step(codes, centroids)
         if np.array_equal(new_labels, labels):
@@ -119,12 +122,13 @@ def binary_kmeans(codes, k, max_iter=100, seed=0):
     return ClusterModel(centroids=centroids, labels=labels)
 
 
-def binary_kmeans_restarts(codes, k, restarts=8, max_iter=100, seed=0):
+def binary_kmeans_restarts(codes, k, restarts=8, seed=0):
     """Best of several seeded :func:`binary_kmeans` runs.
 
     Runs with seeds seed, seed+1, ... and keeps the model with the lowest
-    quantization error; ties go to the earliest run. Deterministic per
-    seed. Discrete alternation is as prone to bad initial centroids as
+    quantization error; ties go to the earliest run, so the runs stop at
+    the first one with error 0, which no later run can beat. Deterministic
+    per seed. Discrete alternation is as prone to bad initial centroids as
     ordinary k-means, so the usual restart treatment applies.
     """
     if restarts < 1:
@@ -132,10 +136,12 @@ def binary_kmeans_restarts(codes, k, restarts=8, max_iter=100, seed=0):
     best = None
     best_err = np.inf
     for i in range(restarts):
-        model = binary_kmeans(codes, k, max_iter=max_iter, seed=seed + i)
+        model = binary_kmeans(codes, k, seed=seed + i)
         err = quantization_error(codes, model)
         if err < best_err:
             best, best_err = model, err
+        if best_err == 0:
+            break
     return best
 
 

@@ -24,10 +24,6 @@ class AnchorSet:
     anchors: np.ndarray  # d x m
     indices: np.ndarray  # m source column indices, distinct
 
-    @property
-    def m(self):
-        return self.anchors.shape[1]
-
 
 def _check_anchor_count(m, n):
     if m < 1:
@@ -98,11 +94,6 @@ def _bandwidth(sqdist):
     return float(delta) if delta > 0 else 1.0
 
 
-def _check_bandwidth(delta):
-    if delta <= 0:
-        raise NonPositiveBandwidth(f"kernel width must be > 0, got {delta}")
-
-
 def _rbf(sqdist, delta):
     """exp(-sqdist / delta), computed in place in ``sqdist``."""
     sqdist /= -delta
@@ -124,7 +115,8 @@ def estimate_bandwidth(view, anchors):
 
 def kernelize(view, anchors, delta):
     """RBF bipartite graph: entry (j, i) = exp(-||x_i - s_j||^2 / delta)."""
-    _check_bandwidth(delta)
+    if delta <= 0:
+        raise NonPositiveBandwidth(f"kernel width must be > 0, got {delta}")
     view = np.asarray(view, dtype=float)
     anchor_mat, indices = _anchor_matrix(anchors)
     return _rbf(_squared_distances(view, anchor_mat, indices), delta)
@@ -153,20 +145,18 @@ def standardize_features(view):
     return (view - mean) / std
 
 
-def kernelize_views(views, m, seed, standardize=True, delta=None):
+def kernelize_views(views, m, seed, standardize=True):
     """Kernelize every view of a dataset with anchors aligned by sample.
 
     Returns the v x m x n stack of bipartite graphs, view p's graph being
     ``graphs[p]``. Each view's distance matrix is computed once, in its own
-    slot of the stack, and turned into the graph in place; its mean is the
-    bandwidth unless ``delta`` overrides it. Views holding NaN or Inf are
-    rejected with NonFiniteInput, views with different sample counts with
+    slot of the stack, and turned into the graph in place with its mean as
+    the bandwidth. Views holding NaN or Inf are rejected with
+    NonFiniteInput, views with different sample counts with
     InconsistentSampleCounts, and an anchor count m < 1 with ValueError or
     m > n with AnchorCountExceedsSamples, before the stack is allocated.
     """
     views = [np.asarray(view, dtype=float) for view in views]
-    if delta is not None:
-        _check_bandwidth(delta)
     _check_finite_views(views)
     counts = sorted({view.shape[1] for view in views})
     if len(counts) > 1:
@@ -178,5 +168,5 @@ def kernelize_views(views, m, seed, standardize=True, delta=None):
         prepared = standardize_features(view) if standardize else view
         anchors = sample_anchors(prepared, m, seed)
         _squared_distances(prepared, anchors.anchors, anchors.indices, out=graph)
-        _rbf(graph, delta if delta is not None else _bandwidth(graph))
+        _rbf(graph, _bandwidth(graph))
     return graphs

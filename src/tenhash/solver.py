@@ -12,7 +12,8 @@ norm) through two auxiliary tensors and their multipliers:
 The blocks are updated in turn each iteration: a linear solve for every
 projection, a closed-form sign step for every code matrix, the two-stage
 shrinkage for both auxiliary tensors, then a gradient step on the
-multipliers with a geometrically growing penalty. The projection systems
+multipliers with a geometrically growing penalty: mu starts at MU0 and
+is multiplied by RHO every iteration up to MU_MAX. The projection systems
 share one matrix per view up to the penalty, so each view's Gram matrix is
 eigendecomposed once per solve and every linear solve is two GEMMs.
 
@@ -31,36 +32,32 @@ from .exceptions import InconsistentSampleCounts, NonFinite, ShapeMismatch
 from .hamming_kmeans import sign_pm1
 from .tensor_ops import enhanced_tensor_nuclear_norm, enhanced_tensor_svt
 
+MU0 = 1e-4     # initial penalty
+RHO = 2.0      # penalty growth factor per iteration
+MU_MAX = 1e10  # penalty cap
+
 
 @dataclass
 class SolverConfig:
     alpha: float
     bits: int
     zeta: float = 0.1
-    mu0: float = 1e-4
-    rho: float = 2.0
-    mu_max: float = 1e10
     max_iter: int = 100
     tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        # every comparison with NaN is False, so NaN is rejected too
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
-        if self.zeta < 0:
-            raise ValueError(f"zeta must be >= 0, got {self.zeta}")
-        if self.mu0 <= 0:
-            raise ValueError(f"mu0 must be > 0, got {self.mu0}")
-        if self.rho <= 1:
-            raise ValueError(f"rho must be > 1, got {self.rho}")
-        if self.mu_max < self.mu0:
-            raise ValueError("mu_max must be >= mu0")
+        if not 0 <= self.zeta < np.inf:
+            raise ValueError(f"zeta must be finite and >= 0, got {self.zeta}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass
@@ -72,7 +69,6 @@ class SolverState:
     dual_projection: np.ndarray
     dual_code: np.ndarray
     mu: float
-    iteration: int = 0
 
 
 @dataclass
@@ -138,7 +134,7 @@ def init_state(graphs, config):
         aux_code=codes.copy(),
         dual_projection=np.zeros_like(projections),
         dual_code=np.zeros_like(codes),
-        mu=config.mu0,
+        mu=MU0,
     )
 
 
@@ -160,18 +156,17 @@ def gram_factors(graphs):
     return gram, values, basis
 
 
-def update_projections(state, graphs, config, factors=None, with_residual=False):
+def update_projections(state, graphs, config, factors):
     """Exact minimizer of each view's projection subproblem.
 
     Solves (2*alpha*phi phi' + mu I) Q = 2*alpha*phi B' + mu A - Y per
     view through the eigendecomposition of phi phi' (``factors``, from
-    :func:`gram_factors`, computed here when not given); the system is
-    positive definite for any mu > 0. Optionally also returns the largest
-    relative residual of these normal equations over the views, taken
-    against the Gram matrix itself.
+    :func:`gram_factors`); the system is positive definite for any mu > 0.
+    Returns the new projections and the largest relative residual of these
+    normal equations over the views, taken against the Gram matrix itself.
     """
     mu = state.mu
-    gram, values, basis = gram_factors(graphs) if factors is None else factors
+    gram, values, basis = factors
     rhs = (
         2.0 * config.alpha * (graphs @ state.codes.mT)
         + mu * state.aux_projection
@@ -179,8 +174,6 @@ def update_projections(state, graphs, config, factors=None, with_residual=False)
     )
     scale = 2.0 * config.alpha * values + mu
     updated = basis @ ((basis.mT @ rhs) / scale[:, :, None])
-    if not with_residual:
-        return updated
     lhs = 2.0 * config.alpha * (gram @ updated) + mu * updated
     denom = np.linalg.norm(rhs, axis=(1, 2))
     res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / np.where(denom > 0, denom, 1.0)
@@ -223,12 +216,12 @@ def update_aux_code(state, config):
 
 def update_multipliers(state, config):
     """Gradient step on both multipliers, then grow the shared penalty:
-    mu <- min(rho * mu, mu_max)."""
+    mu <- min(RHO * mu, MU_MAX)."""
     dual_projection = state.dual_projection + state.mu * (
         state.projections - state.aux_projection
     )
     dual_code = state.dual_code + state.mu * (state.codes - state.aux_code)
-    mu = min(config.rho * state.mu, config.mu_max)
+    mu = min(RHO * state.mu, MU_MAX)
     return dual_projection, dual_code, mu
 
 
@@ -242,9 +235,10 @@ def objective_value(state, graphs, config):
     )
 
 
-def _check_finite(state, iteration):
-    for name in ("projections", "aux_projection", "aux_code",
-                 "dual_projection", "dual_code"):
+def _check_finite(state, iteration, names):
+    """Raise NonFinite naming the first of the blocks ``names`` that holds
+    a NaN or Inf."""
+    for name in names:
         if not np.all(np.isfinite(getattr(state, name))):
             raise NonFinite(
                 f"non-finite value in {name} at iteration {iteration}",
@@ -271,21 +265,19 @@ def solve(graphs, config):
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         mu_used = state.mu
-        state.projections, q_res = update_projections(
-            state, graphs, config, factors=factors, with_residual=True
-        )
+        state.projections, q_res = update_projections(state, graphs, config, factors)
         state.codes = update_codes(state, graphs, config)
-        _check_finite(state, it)
+        # each block is scanned once, at the first check after it changed
+        _check_finite(state, it, ("projections", "dual_projection", "dual_code"))
         state.aux_projection = update_aux_projection(state, config)
         state.aux_code = update_aux_code(state, config)
-        _check_finite(state, it)
+        _check_finite(state, it, ("aux_projection", "aux_code"))
         res_q = float(np.linalg.norm(state.projections - state.aux_projection))
         res_b = float(np.linalg.norm(state.codes - state.aux_code))
         obj = float(objective_value(state, graphs, config))
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
             state, config
         )
-        state.iteration = it
         history.append(IterationRecord(
             iteration=it,
             objective=obj,

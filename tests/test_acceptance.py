@@ -159,11 +159,10 @@ def test_criterion_3_subproblem_exactness(synthetic_run):
         bits = int(rng.integers(1, 5))
         n = int(rng.integers(1, 12 // bits + 1))
         graphs = rng.standard_normal((1, 3, n))
-        config = SolverConfig(
-            alpha=float(rng.uniform(0.1, 2.0)), bits=bits,
-            mu0=float(rng.uniform(0.1, 2.0)), seed=int(rng.integers(1000)),
-        )
+        alpha, mu = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
+        config = SolverConfig(alpha=alpha, bits=bits, seed=int(rng.integers(1000)))
         state = init_state(graphs, config)
+        state.mu = mu
         state.aux_code = rng.standard_normal((1, bits, n))
         state.dual_code = rng.standard_normal((1, bits, n))
         got = update_codes(state, graphs, config)[0]

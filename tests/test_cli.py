@@ -72,11 +72,29 @@ def test_unknown_command_is_usage_error():
 
 @pytest.mark.parametrize("command", [["cluster", "ds"], ["sweep", "ds", "--out", "x.csv"],
                                      ["bench", "--sizes", "100"]])
-@pytest.mark.parametrize("flag", [["--tol", "0"], ["--alpha", "-1"], ["--zeta", "-0.5"]])
+@pytest.mark.parametrize("flag", [["--tol", "0"], ["--alpha", "-1"], ["--zeta", "-0.5"],
+                                  ["--tol", "inf"], ["--alpha", "inf"], ["--alpha", "nan"],
+                                  ["--zeta", "inf"]])
 def test_bad_solver_parameter_is_usage_error(command, flag, capsys):
     # rejected while parsing, before the (missing) dataset is opened
     assert run_cli(*command, *flag) == 2
     assert f"argument {flag[0]}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["synth", "--k", "2", "--n", "10"],
+                                     ["bench", "--sizes", "100"]])
+@pytest.mark.parametrize("sep", ["nan", "inf", "-1"])
+def test_bad_sep_is_usage_error(command, sep, tmp_path, capsys):
+    # rejected while parsing, before anything is generated or written
+    assert run_cli(*command, "--sep", sep, "--out", str(tmp_path / "out")) == 2
+    assert not (tmp_path / "out").exists()
+    assert "argument --sep: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphas", ["0.01,inf", "nan", "-1"])
+def test_sweep_bad_alphas_entry_is_usage_error(alphas, capsys):
+    assert run_cli("sweep", "ds", "--out", "x.csv", "--alphas", alphas) == 2
+    assert "argument --alphas: must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("anchors", ["500", "1000000000"])

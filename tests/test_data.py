@@ -147,6 +147,9 @@ def test_gen_rejects_bad_args():
         gen_gaussian_clusters(k=5, v=1, n=4, dims=[2], sep=1, seed=0)
     with pytest.raises(InvalidArgs):
         gen_gaussian_clusters(k=2, v=2, n=10, dims=[2], sep=1, seed=0)
+    for sep in (np.nan, np.inf):
+        with pytest.raises(InvalidArgs):
+            gen_gaussian_clusters(k=2, v=1, n=10, dims=[2], sep=sep, seed=0)
 
 
 def test_gen_cluster_sizes_near_equal():

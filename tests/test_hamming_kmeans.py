@@ -250,7 +250,7 @@ def test_kmeans_matches_one_hot_reference(rng):
             assert np.array_equal(model.labels, want)
 
 
-def test_kmeans_fewer_distinct_codes_than_k(rng):
+def test_kmeans_fewer_distinct_codes_than_k(rng, monkeypatch):
     # 3 distinct codes for k=5: each sample is labelled by the rank of its
     # code's first occurrence, whatever the seed, at error 0
     patterns = random_codes(np.random.default_rng(7), 8, 3)
@@ -264,8 +264,19 @@ def test_kmeans_fewer_distinct_codes_than_k(rng):
         assert model.labels.tolist() == want
         assert model.centroids.shape == (8, 5)
         assert quantization_error(codes, model) == 0.0
+    # the first run has error 0, which no later run can beat: stop there
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return binary_kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(hamming_kmeans, "binary_kmeans", counted)
     best = binary_kmeans_restarts(codes, 5, restarts=4, seed=3)
+    assert runs == [1]
     assert best.labels.tolist() == want
+    assert np.array_equal(
+        best.labels, binary_kmeans_restarts(codes, 5, restarts=1, seed=3).labels)
 
 
 def test_kmeans_counts_distinct_codes_only_after_a_failed_draw(rng, monkeypatch):

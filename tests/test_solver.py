@@ -4,6 +4,7 @@ import pytest
 import oracles
 from tenhash.exceptions import InconsistentSampleCounts, NonFinite, ShapeMismatch
 from tenhash.solver import (
+    MU0,
     HashCodes,
     SolverConfig,
     fuse_codes,
@@ -58,7 +59,14 @@ def test_init_primal_residuals_exactly_zero(rng):
     assert np.array_equal(state.codes, state.aux_code)
     assert np.all(state.dual_projection == 0)
     assert np.all(state.dual_code == 0)
-    assert state.mu == make_config().mu0
+    assert state.mu == MU0
+
+
+@pytest.mark.parametrize("field", ["alpha", "zeta", "tol"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        make_config(**{field: value})
 
 
 def test_init_rejects_mismatched_n(rng):
@@ -84,18 +92,21 @@ def test_projection_update_alpha_zero(rng):
     state = init_state(graphs, config)
     state.aux_projection = rng.standard_normal(state.aux_projection.shape)
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
-    got = update_projections(state, graphs, config)[0]
+    projections, _ = update_projections(state, graphs, config, gram_factors(graphs))
+    got = projections[0]
     want = state.aux_projection[0] - state.dual_projection[0] / state.mu
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_projection_update_large_mu_limit(rng):
     graphs = make_graphs(rng, v=1)
-    config = make_config(alpha=0.7, mu0=1e9)
+    config = make_config(alpha=0.7)
     state = init_state(graphs, config)
+    state.mu = 1e9
     state.aux_projection = rng.standard_normal(state.aux_projection.shape)
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
-    got = update_projections(state, graphs, config)[0]
+    projections, _ = update_projections(state, graphs, config, gram_factors(graphs))
+    got = projections[0]
     want = state.aux_projection[0] - state.dual_projection[0] / state.mu
     assert np.max(np.abs(got - want)) <= 1e-6
 
@@ -103,11 +114,13 @@ def test_projection_update_large_mu_limit(rng):
 def test_projection_update_beats_perturbations():
     rng = np.random.default_rng(35)
     graphs = rng.random((1, 4, 6))
-    config = make_config(alpha=0.9, bits=2, mu0=0.5)
+    config = make_config(alpha=0.9, bits=2)
     state = init_state(graphs, config)
+    state.mu = 0.5
     state.aux_projection = rng.standard_normal((1, 4, 2))
     state.dual_projection = rng.standard_normal((1, 4, 2))
-    q = update_projections(state, graphs, config)[0]
+    projections, _ = update_projections(state, graphs, config, gram_factors(graphs))
+    q = projections[0]
     base = oracles.q_subproblem_objective(
         q, graphs[0], state.codes[0],
         state.aux_projection[0], state.dual_projection[0],
@@ -132,7 +145,7 @@ def test_factored_projection_update_matches_assembled_solve(rng):
         state.mu = mu
         state.aux_projection = rng.standard_normal(state.aux_projection.shape)
         state.dual_projection = rng.standard_normal(state.dual_projection.shape)
-        got = update_projections(state, graphs, config, factors=factors)
+        got, _ = update_projections(state, graphs, config, factors)
         for p, g in enumerate(graphs):
             lhs = 2.0 * config.alpha * (g @ g.T) + mu * np.eye(g.shape[0])
             rhs = (
@@ -148,7 +161,7 @@ def test_projection_normal_equation_residual(rng):
     graphs = make_graphs(rng, v=3, m=6, n=9)
     config = make_config(bits=4)
     state = init_state(graphs, config)
-    _, residual = update_projections(state, graphs, config, with_residual=True)
+    _, residual = update_projections(state, graphs, config, gram_factors(graphs))
     assert residual <= 1e-8
 
 
@@ -179,8 +192,10 @@ def test_code_update_matches_brute_force():
     rng = np.random.default_rng(36)
     for trial in range(30):
         graphs = rng.standard_normal((1, 3, 3))
-        config = make_config(alpha=rng.uniform(0.1, 2.0), bits=2, mu0=rng.uniform(0.1, 2.0))
+        alpha, mu = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
+        config = make_config(alpha=alpha, bits=2)
         state = init_state(graphs, config)
+        state.mu = mu
         state.aux_code = rng.standard_normal((1, 2, 3))
         state.dual_code = rng.standard_normal((1, 2, 3))
         got = update_codes(state, graphs, config)[0]
@@ -199,8 +214,9 @@ def test_code_update_matches_brute_force():
 
 def test_aux_projection_subthreshold_is_identity(rng):
     graphs = make_graphs(rng, v=2, m=4, n=8)
-    config = make_config(zeta=0.0, mu0=1e12, mu_max=1e12)
+    config = make_config(zeta=0.0)
     state = init_state(graphs, config)
+    state.mu = 1e12
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
     target = state.projections + state.dual_projection / state.mu
     got = update_aux_projection(state, config)
@@ -217,8 +233,9 @@ def test_aux_projection_zero_inputs(rng):
 
 def test_aux_updates_shrink_core_nuclear_norm(rng):
     graphs = make_graphs(rng, v=3, m=5, n=10)
-    config = make_config(mu0=1.0)
+    config = make_config()
     state = init_state(graphs, config)
+    state.mu = 1.0
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
     state.dual_code = rng.standard_normal(state.dual_code.shape)
     for update, stack, dual in (
@@ -235,8 +252,9 @@ def test_aux_updates_shrink_core_nuclear_norm(rng):
 
 def test_aux_updates_use_documented_shrinkage_weights(rng):
     graphs = make_graphs(rng, v=2, m=5, n=12)
-    config = make_config(mu0=0.7, bits=3)
+    config = make_config(bits=3)
     state = init_state(graphs, config)
+    state.mu = 0.7
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
     state.dual_code = rng.standard_normal(state.dual_code.shape)
     m, n, v, bits = 5, 12, 2, 3
@@ -263,13 +281,14 @@ def test_multipliers_no_gap_doubles_mu(rng):
     dual_q, dual_b, mu = update_multipliers(state, config)
     assert np.array_equal(dual_q, state.dual_projection)
     assert np.array_equal(dual_b, state.dual_code)
-    assert mu == 2 * config.mu0
+    assert mu == 2 * MU0
 
 
 def test_multipliers_cap(rng):
     graphs = make_graphs(rng)
-    config = make_config(mu0=1e10, mu_max=1e10)
+    config = make_config()
     state = init_state(graphs, config)
+    state.mu = 1e10
     _, _, mu = update_multipliers(state, config)
     assert mu == 1e10
 
@@ -417,8 +436,9 @@ def test_solve_codes_binary_every_iteration(rng):
     graphs = make_graphs(rng, v=2, m=5, n=10)
     config = make_config(alpha=0.3, bits=3)
     state = init_state(graphs, config)
+    factors = gram_factors(graphs)
     for _ in range(12):
-        state.projections = update_projections(state, graphs, config)
+        state.projections, _ = update_projections(state, graphs, config, factors)
         state.codes = update_codes(state, graphs, config)
         state.aux_projection = update_aux_projection(state, config)
         state.aux_code = update_aux_code(state, config)
@@ -449,6 +469,15 @@ def test_solve_aborts_on_non_finite():
     config = make_config()
     with pytest.raises(NonFinite) as info:
         solve(graphs, config)
+    assert info.value.iteration == 1
+
+
+def test_solve_aborts_on_overflow_in_projection_step(rng):
+    # finite input whose Q step overflows; the Gram matrices stay finite
+    graphs = make_graphs(rng)
+    message = "non-finite value in projections at iteration 1"
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match=message) as info:
+        solve(graphs, make_config(alpha=1e308))
     assert info.value.iteration == 1
 
 
