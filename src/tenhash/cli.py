@@ -83,7 +83,10 @@ def _write_report(report, path):
 def _write_trace(history, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "objective", "res_qa", "res_be", "mu", "seconds"])
+        writer.writerow([
+            "iter", "objective", "res_qa", "res_be", "mu", "seconds",
+            "bits_flipped", "projection_residual",
+        ])
         for rec in history:
             writer.writerow([
                 rec.iteration,
@@ -92,6 +95,8 @@ def _write_trace(history, path):
                 f"{rec.res_code:.17g}",
                 f"{rec.mu:.17g}",
                 f"{rec.seconds:.6f}",
+                rec.bits_flipped,
+                f"{rec.projection_residual:.17g}",
             ])
 
 

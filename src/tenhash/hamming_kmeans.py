@@ -24,8 +24,13 @@ class ClusterModel:
 
 
 def sign_pm1(x):
-    """Elementwise sign into {-1,+1} with the tie rule sign(0) = +1."""
-    return np.where(np.asarray(x) >= 0, 1.0, -1.0)
+    """Elementwise sign into {-1,+1} with the tie rule sign(0) = +1
+    (-0.0 too); NaN maps to -1. Computed as 2 * (x >= 0) - 1 in place on
+    one float array, several times faster than a select with ``np.where``."""
+    signs = (np.asarray(x) >= 0).astype(float)
+    signs *= 2.0
+    signs -= 1.0
+    return signs
 
 
 def hamming_distance(b, c):

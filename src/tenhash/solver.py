@@ -17,6 +17,11 @@ is multiplied by RHO every iteration up to MU_MAX. The projection systems
 share one matrix per view up to the penalty, so each view's Gram matrix is
 eigendecomposed once per solve and every linear solve is two GEMMs.
 
+No product is formed twice from the same operands: the objective takes
+its fit from the code step's Q' phi, and phi B' (for the projection step)
+and the enhanced TNN of B (for the objective) are kept for as long as no
+code bit flips.
+
 Every block is one view-major array with view p at ``x[p]``: graphs are
 v x m x n, projections (and A, Y) v x m x bits, codes (and E, J)
 v x bits x n. Each update is one batched expression over the views; the
@@ -80,6 +85,7 @@ class IterationRecord:
     mu: float
     seconds: float
     projection_residual: float  # relative normal-equation residual of the Q step
+    bits_flipped: int           # code entries the B step changed
 
 
 @dataclass
@@ -156,37 +162,46 @@ def gram_factors(graphs):
     return gram, values, basis
 
 
-def update_projections(state, graphs, config, factors):
+def update_projections(state, graph_codes, config, factors):
     """Exact minimizer of each view's projection subproblem.
 
     Solves (2*alpha*phi phi' + mu I) Q = 2*alpha*phi B' + mu A - Y per
     view through the eigendecomposition of phi phi' (``factors``, from
     :func:`gram_factors`); the system is positive definite for any mu > 0.
-    Returns the new projections and the largest relative residual of these
-    normal equations over the views, taken against the Gram matrix itself.
+    ``graph_codes`` is phi B' for the current codes, which :func:`solve`
+    forms only when they have changed. Returns the new projections and the
+    largest relative residual of these normal equations over the views,
+    taken against the Gram matrix itself.
     """
     mu = state.mu
     gram, values, basis = factors
-    rhs = (
-        2.0 * config.alpha * (graphs @ state.codes.mT)
-        + mu * state.aux_projection
-        - state.dual_projection
-    )
-    scale = 2.0 * config.alpha * values + mu
-    updated = basis @ ((basis.mT @ rhs) / scale[:, :, None])
-    lhs = 2.0 * config.alpha * (gram @ updated) + mu * updated
-    denom = np.linalg.norm(rhs, axis=(1, 2))
-    res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / np.where(denom > 0, denom, 1.0)
+    # an alpha large enough to overflow leaves inf/NaN in the result, which
+    # the finite check after the code step reports as NonFinite
+    with np.errstate(all="ignore"):
+        rhs = (
+            2.0 * config.alpha * graph_codes
+            + mu * state.aux_projection
+            - state.dual_projection
+        )
+        scale = 2.0 * config.alpha * values + mu
+        updated = basis @ ((basis.mT @ rhs) / scale[:, :, None])
+        lhs = 2.0 * config.alpha * (gram @ updated) + mu * updated
+        denom = np.linalg.norm(rhs, axis=(1, 2))
+        res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / np.where(denom > 0, denom, 1.0)
     return updated, float(res.max())
 
 
 def update_codes(state, graphs, config):
     """Closed-form sign step: B = sign(alpha Q' phi + (mu E - J) / 2),
-    the exact maximizer of the code subproblem's trace objective."""
-    return sign_pm1(
-        config.alpha * (state.projections.mT @ graphs)
-        + 0.5 * (state.mu * state.aux_code - state.dual_code)
-    )
+    the exact maximizer of the code subproblem's trace objective. Returns
+    the codes and the product Q' phi, which the objective reuses."""
+    projected = state.projections.mT @ graphs
+    # starting from the C-ordered product keeps the codes C-ordered: the
+    # residual norms sum in memory order, so another layout rounds them
+    # differently
+    target = config.alpha * projected
+    target += 0.5 * (state.mu * state.aux_code - state.dual_code)
+    return sign_pm1(target), projected
 
 
 def _aux_update(block, dual, mu, zeta, n):
@@ -225,14 +240,18 @@ def update_multipliers(state, config):
     return dual_projection, dual_code, mu
 
 
-def objective_value(state, graphs, config):
-    """Data-fit term plus both enhanced tensor nuclear norms."""
-    fit = np.linalg.norm(state.projections.mT @ graphs - state.codes) ** 2
-    return (
-        config.alpha * fit
-        + enhanced_tensor_nuclear_norm(np.moveaxis(state.projections, 0, 2), config.zeta)
-        + enhanced_tensor_nuclear_norm(np.moveaxis(state.codes, 0, 2), config.zeta)
+def objective_value(state, projected, config, code_norm=None):
+    """Data-fit term plus both enhanced tensor nuclear norms, with the fit
+    taken from ``projected`` = Q' phi of the current projections.
+    ``code_norm``, if given, is the enhanced TNN of the current codes and
+    is not recomputed. Returns the objective and that norm."""
+    fit = np.linalg.norm(projected - state.codes) ** 2
+    projection_norm = enhanced_tensor_nuclear_norm(
+        np.moveaxis(state.projections, 0, 2), config.zeta
     )
+    if code_norm is None:
+        code_norm = enhanced_tensor_nuclear_norm(np.moveaxis(state.codes, 0, 2), config.zeta)
+    return float(config.alpha * fit + projection_norm + code_norm), code_norm
 
 
 def _check_finite(state, iteration, names):
@@ -262,19 +281,33 @@ def solve(graphs, config):
     b_size = np.sqrt(state.aux_code.size)
     history = []
     stop_reason = "max_iter"
+    # phi B' and the enhanced TNN of the current codes, kept until a code
+    # bit flips
+    graph_codes = code_norm = None
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         mu_used = state.mu
-        state.projections, q_res = update_projections(state, graphs, config, factors)
-        state.codes = update_codes(state, graphs, config)
+        if graph_codes is None:
+            graph_codes = graphs @ state.codes.mT
+        state.projections, q_res = update_projections(state, graph_codes, config, factors)
+        new_codes, projected = update_codes(state, graphs, config)
+        flipped = int(np.count_nonzero(new_codes != state.codes))
+        if flipped:
+            graph_codes = code_norm = None
+        state.codes = new_codes
         # each block is scanned once, at the first check after it changed
         _check_finite(state, it, ("projections", "dual_projection", "dual_code"))
+        # the objective reads only Q, B and phi: take it while Q' phi is at
+        # hand, and free that product before the shrinkage steps
+        obj, code_norm = objective_value(state, projected, config, code_norm)
+        del projected
+        # neither shrinkage step reads the old A or E: free them first
+        state.aux_projection = state.aux_code = None
         state.aux_projection = update_aux_projection(state, config)
         state.aux_code = update_aux_code(state, config)
         _check_finite(state, it, ("aux_projection", "aux_code"))
         res_q = float(np.linalg.norm(state.projections - state.aux_projection))
         res_b = float(np.linalg.norm(state.codes - state.aux_code))
-        obj = float(objective_value(state, graphs, config))
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
             state, config
         )
@@ -286,6 +319,7 @@ def solve(graphs, config):
             mu=mu_used,
             seconds=time.perf_counter() - t0,
             projection_residual=q_res,
+            bits_flipped=flipped,
         ))
         if max(res_q / q_size, res_b / b_size) < config.tol:
             stop_reason = "tolerance"

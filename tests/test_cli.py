@@ -129,7 +129,10 @@ def test_cluster_synthetic_four_clusters(tmp_path):
     assert report["k"] == 4
     with open(trace_path) as fh:
         rows = list(csv.DictReader(fh))
-    assert [c for c in rows[0]] == ["iter", "objective", "res_qa", "res_be", "mu", "seconds"]
+    assert [c for c in rows[0]] == [
+        "iter", "objective", "res_qa", "res_be", "mu", "seconds",
+        "bits_flipped", "projection_residual",
+    ]
     assert len(rows) == report["iterations"]
     assert float(rows[-1]["res_qa"]) <= float(rows[0]["res_qa"]) / 10
     assert float(rows[-1]["res_be"]) <= float(rows[0]["res_be"]) / 10

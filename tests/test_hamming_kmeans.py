@@ -24,6 +24,34 @@ def random_codes(rng, l, n):
 
 
 # ---------------------------------------------------------------------------
+# sign
+
+
+def where_sign(x):
+    """The select form of the tie rule sign(0) = +1."""
+    return np.where(np.asarray(x) >= 0, 1.0, -1.0)
+
+
+def test_sign_edge_values_match_select():
+    tiny = np.nextafter(0.0, 1.0)  # 5e-324
+    x = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, tiny, -tiny])
+    got = sign_pm1(x)
+    assert np.array_equal(got, where_sign(x))
+    assert got.tolist() == [1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
+def test_sign_float64_shape_kept_input_untouched(rng, dtype):
+    x = (rng.standard_normal((2, 3, 5)) * 3).astype(dtype)
+    before = x.copy()
+    got = sign_pm1(x)
+    assert got.dtype == np.float64
+    assert got.shape == x.shape
+    assert np.array_equal(got, where_sign(x))
+    assert np.array_equal(x, before)
+
+
+# ---------------------------------------------------------------------------
 # hamming distance
 
 

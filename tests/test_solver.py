@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import oracles
+from tenhash import solver
 from tenhash.exceptions import InconsistentSampleCounts, NonFinite, ShapeMismatch
 from tenhash.solver import (
     MU0,
@@ -92,7 +95,9 @@ def test_projection_update_alpha_zero(rng):
     state = init_state(graphs, config)
     state.aux_projection = rng.standard_normal(state.aux_projection.shape)
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
-    projections, _ = update_projections(state, graphs, config, gram_factors(graphs))
+    projections, _ = update_projections(
+        state, graphs @ state.codes.mT, config, gram_factors(graphs),
+    )
     got = projections[0]
     want = state.aux_projection[0] - state.dual_projection[0] / state.mu
     assert np.allclose(got, want, atol=1e-12)
@@ -105,7 +110,9 @@ def test_projection_update_large_mu_limit(rng):
     state.mu = 1e9
     state.aux_projection = rng.standard_normal(state.aux_projection.shape)
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
-    projections, _ = update_projections(state, graphs, config, gram_factors(graphs))
+    projections, _ = update_projections(
+        state, graphs @ state.codes.mT, config, gram_factors(graphs),
+    )
     got = projections[0]
     want = state.aux_projection[0] - state.dual_projection[0] / state.mu
     assert np.max(np.abs(got - want)) <= 1e-6
@@ -119,7 +126,9 @@ def test_projection_update_beats_perturbations():
     state.mu = 0.5
     state.aux_projection = rng.standard_normal((1, 4, 2))
     state.dual_projection = rng.standard_normal((1, 4, 2))
-    projections, _ = update_projections(state, graphs, config, gram_factors(graphs))
+    projections, _ = update_projections(
+        state, graphs @ state.codes.mT, config, gram_factors(graphs),
+    )
     q = projections[0]
     base = oracles.q_subproblem_objective(
         q, graphs[0], state.codes[0],
@@ -145,7 +154,7 @@ def test_factored_projection_update_matches_assembled_solve(rng):
         state.mu = mu
         state.aux_projection = rng.standard_normal(state.aux_projection.shape)
         state.dual_projection = rng.standard_normal(state.dual_projection.shape)
-        got, _ = update_projections(state, graphs, config, factors)
+        got, _ = update_projections(state, graphs @ state.codes.mT, config, factors)
         for p, g in enumerate(graphs):
             lhs = 2.0 * config.alpha * (g @ g.T) + mu * np.eye(g.shape[0])
             rhs = (
@@ -161,7 +170,9 @@ def test_projection_normal_equation_residual(rng):
     graphs = make_graphs(rng, v=3, m=6, n=9)
     config = make_config(bits=4)
     state = init_state(graphs, config)
-    _, residual = update_projections(state, graphs, config, gram_factors(graphs))
+    _, residual = update_projections(
+        state, graphs @ state.codes.mT, config, gram_factors(graphs),
+    )
     assert residual <= 1e-8
 
 
@@ -176,7 +187,8 @@ def test_code_update_all_positive_argument(rng):
     state.projections = np.ones((1, 3, 2))
     state.aux_code = np.ones((1, 2, 4))
     state.dual_code = np.zeros((1, 2, 4))
-    assert np.all(update_codes(state, graphs, config)[0] == 1.0)
+    codes, _ = update_codes(state, graphs, config)
+    assert np.all(codes[0] == 1.0)
 
 
 def test_code_update_zero_argument_tie(rng):
@@ -185,7 +197,8 @@ def test_code_update_zero_argument_tie(rng):
     state = init_state(graphs, config)
     state.aux_code = np.zeros((state.aux_code.shape))
     state.dual_code = np.zeros((state.dual_code.shape))
-    assert np.all(update_codes(state, graphs, config)[0] == 1.0)
+    codes, _ = update_codes(state, graphs, config)
+    assert np.all(codes[0] == 1.0)
 
 
 def test_code_update_matches_brute_force():
@@ -198,7 +211,7 @@ def test_code_update_matches_brute_force():
         state.mu = mu
         state.aux_code = rng.standard_normal((1, 2, 3))
         state.dual_code = rng.standard_normal((1, 2, 3))
-        got = update_codes(state, graphs, config)[0]
+        got = update_codes(state, graphs, config)[0][0]
         target = (
             config.alpha * (state.projections[0].T @ graphs[0])
             + 0.5 * (state.mu * state.aux_code[0] - state.dual_code[0])
@@ -322,7 +335,7 @@ def test_objective_zero_graph_constant_tensors():
     config = make_config(alpha=0.8, bits=bits)
     state = init_state(graphs, config)
     state.projections = np.zeros((v, m, bits))
-    got = objective_value(state, graphs, config)
+    got, _ = objective_value(state, state.projections.mT @ graphs, config)
     ones = np.ones((bits, n, v))
     etnn_ones = (
         oracles.matrix_nuclear_norm(oracles.spectral_singular_values(ones))
@@ -338,7 +351,7 @@ def test_objective_all_zero_state():
     state = init_state(graphs, config)
     state.projections = np.zeros((1, 3, 3))
     state.codes = np.zeros((1, 3, 4))
-    assert objective_value(state, graphs, config) == 0.0
+    assert objective_value(state, state.projections.mT @ graphs, config)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +370,13 @@ def test_fuse_majority_and_tie():
     assert fuse_codes(votes)[0, 0] == 1.0
     tie = [np.array([[1.0]]), np.array([[-1.0]])]
     assert fuse_codes(tie)[0, 0] == 1.0
+
+
+def test_fuse_ties_go_to_plus_one(rng):
+    b = np.where(rng.standard_normal((4, 7)) >= 0, 1.0, -1.0)
+    assert np.all(fuse_codes(np.stack([b, -b])) == 1.0)
+    assert np.all(fuse_codes(np.stack([b, -b, -b, b])) == 1.0)
+    assert np.array_equal(fuse_codes(np.stack([b, -b, b])), b)
 
 
 def test_fuse_shape_mismatch():
@@ -438,8 +458,10 @@ def test_solve_codes_binary_every_iteration(rng):
     state = init_state(graphs, config)
     factors = gram_factors(graphs)
     for _ in range(12):
-        state.projections, _ = update_projections(state, graphs, config, factors)
-        state.codes = update_codes(state, graphs, config)
+        state.projections, _ = update_projections(
+            state, graphs @ state.codes.mT, config, factors,
+        )
+        state.codes, _ = update_codes(state, graphs, config)
         state.aux_projection = update_aux_projection(state, config)
         state.aux_code = update_aux_code(state, config)
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
@@ -479,6 +501,92 @@ def test_solve_aborts_on_overflow_in_projection_step(rng):
     with np.errstate(all="ignore"), pytest.raises(NonFinite, match=message) as info:
         solve(graphs, make_config(alpha=1e308))
     assert info.value.iteration == 1
+
+
+def test_solve_overflow_in_projection_step_warns_nothing(rng):
+    graphs = make_graphs(rng)
+    message = "non-finite value in projections at iteration 1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite, match=message) as info:
+            solve(graphs, make_config(alpha=1e308))
+    assert info.value.iteration == 1
+
+
+def recomputing_solve(graphs, config):
+    """The ADMM loop built from the public steps, forming every product and
+    norm afresh in every iteration and taking the objective after the
+    shrinkage steps."""
+    state = init_state(graphs, config)
+    factors = gram_factors(graphs)
+    q_size = np.sqrt(state.aux_projection.size)
+    b_size = np.sqrt(state.aux_code.size)
+    history = []
+    stop_reason = "max_iter"
+    for it in range(1, config.max_iter + 1):
+        mu_used = state.mu
+        state.projections, q_res = update_projections(
+            state, graphs @ state.codes.mT, config, factors,
+        )
+        codes, _ = update_codes(state, graphs, config)
+        flipped = int(np.sum(codes != state.codes))
+        state.codes = codes
+        state.aux_projection = update_aux_projection(state, config)
+        state.aux_code = update_aux_code(state, config)
+        res_q = float(np.linalg.norm(state.projections - state.aux_projection))
+        res_b = float(np.linalg.norm(state.codes - state.aux_code))
+        obj, _ = objective_value(state, state.projections.mT @ graphs, config)
+        state.dual_projection, state.dual_code, state.mu = update_multipliers(
+            state, config
+        )
+        history.append((it, obj, res_q, res_b, mu_used, q_res, flipped))
+        if max(res_q / q_size, res_b / b_size) < config.tol:
+            stop_reason = "tolerance"
+            break
+    return state.codes, stop_reason, history
+
+
+def test_solve_reuse_is_exact_and_happens(monkeypatch):
+    graphs = np.random.default_rng(2).random((3, 6, 24))
+    config = make_config(alpha=0.5, bits=3)
+    want_codes, want_stop, want_history = recomputing_solve(graphs, config)
+
+    etnn_calls = []
+    graph_codes_seen = []
+    etnn = solver.enhanced_tensor_nuclear_norm
+    step = solver.update_projections
+
+    def counting_etnn(*args):
+        etnn_calls.append(1)
+        return etnn(*args)
+
+    def recording_step(state, graph_codes, *args):
+        graph_codes_seen.append(graph_codes)
+        return step(state, graph_codes, *args)
+
+    monkeypatch.setattr(solver, "enhanced_tensor_nuclear_norm", counting_etnn)
+    monkeypatch.setattr(solver, "update_projections", recording_step)
+    codes, history = solve(graphs, config)
+
+    assert np.array_equal(codes.per_view, want_codes)
+    assert codes.stop_reason == want_stop
+    assert [
+        (r.iteration, r.objective, r.res_projection, r.res_code, r.mu,
+         r.projection_residual, r.bits_flipped)
+        for r in history
+    ] == want_history
+    flips = [r.bits_flipped for r in history]
+    # iteration 1 flips, later ones both flip and do not
+    assert flips[0] > 0
+    assert 0 in flips and any(flips[1:])
+    # the enhanced TNN of Q every iteration, that of B only after a flip
+    assert len(etnn_calls) == len(history) + sum(f > 0 for f in flips)
+    # phi B' is formed in iteration 1 and after each flip, else reused
+    for k in range(1, len(history)):
+        reused = graph_codes_seen[k] is graph_codes_seen[k - 1]
+        assert reused == (flips[k - 1] == 0)
+    distinct = {id(x) for x in graph_codes_seen}
+    assert len(distinct) == 1 + sum(f > 0 for f in flips[:-1])
 
 
 def test_solve_returns_hash_codes_type(rng):
