@@ -57,8 +57,9 @@ _nonnegative_float = _at_least(float, 0)
 
 
 def _int_list(text):
+    """Comma-separated integers, each under the _positive_int rule."""
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return [_positive_int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -138,8 +139,16 @@ def _resolve_anchors_k(args, dataset, parser):
     parser.error("--k is required when the dataset has no labels.csv")
 
 
-def cmd_synth(args, parser):
+def _view_dims(args, parser):
+    """--dims, or 10 features per view; one entry per view (--views)."""
     dims = args.dims if args.dims is not None else [10] * args.views
+    if len(dims) != args.views:
+        parser.error(f"--dims: {len(dims)} entries for {args.views} views")
+    return dims
+
+
+def cmd_synth(args, parser):
+    dims = _view_dims(args, parser)
     dataset = datamod.gen_gaussian_clusters(
         k=args.k, v=args.views, n=args.n, dims=dims, sep=args.sep, seed=args.seed,
     )
@@ -234,7 +243,7 @@ def cmd_sweep(args, parser):
 
 
 def cmd_bench(args, parser):
-    dims = args.dims if args.dims is not None else [10] * args.views
+    dims = _view_dims(args, parser)
     if args.sizes and args.anchors > min(args.sizes):
         parser.error(f"--anchors: {args.anchors} exceeds the smallest --sizes "
                      f"entry, {min(args.sizes)} samples")

@@ -6,7 +6,6 @@ label matching exactly (rectangular assignment), not greedily.
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .exceptions import EmptyInput, LengthMismatch
 
@@ -35,6 +34,9 @@ def contingency_table(pred, truth):
 
 def accuracy(pred, truth):
     """Best matched fraction over label bijections (optimal assignment)."""
+    # imported here: scipy is slow to import and only scoring needs it
+    from scipy.optimize import linear_sum_assignment
+
     table = contingency_table(pred, truth)
     rows, cols = linear_sum_assignment(-table)
     return table[rows, cols].sum() / table.sum()

@@ -16,14 +16,12 @@ is the half-sum and half-difference. For d3 >= 3 the stack is complex:
 ``rfft`` computes it and ``irfft`` rebuilds the real tensor and supplies
 the mirrored slices.
 
-Slice singular values come from one of two branches, chosen by the aspect
-ratio of the slices: an economy SVD for near-square slices, or the
-eigendecomposition of the Gram matrix of the short side when one side is
-at least _GRAM_RATIO times the other. Singular values below RANK_TOL times
-the largest one of their slice are treated as exact zeros everywhere. The
-Gram branch squares the slice, so it has a rounding floor: eigenvalues
-below long_side * eps times the largest one of their slice count as zero,
-i.e. singular values below about sqrt(long_side * eps) of the largest.
+Slice singular values come from one factorization, the eigendecomposition
+of the Gram matrix of the slices' short side (BLAS-3 work linear in the
+long side). Squaring the slice sets one rounding floor: eigenvalues below
+long_side * eps times the largest of their slice count as zero, i.e.
+singular values below about sqrt(long_side * eps) of the largest. t_svd
+and matrix_svt use LAPACK's SVD, with RANK_TOL as their cutoff.
 """
 
 import numpy as np
@@ -35,17 +33,12 @@ from .exceptions import (
     SvdNonConvergence,
 )
 
-# relative cutoff below which singular values count as zero
+# relative cutoff below which t_svd and matrix_svt singular values are zero
 RANK_TOL = 1e-12
 
 # imaginary residue above this fraction of the result norm means the
 # spectral stack was not conjugate-symmetric
 IMAG_TOL = 1e-8
-
-# aspect ratio beyond which slice SVDs go through the Gram matrix of the
-# short side (BLAS-3 work linear in the long side instead of LAPACK's
-# bidiagonalization, which scales poorly on very wide or tall slices)
-_GRAM_RATIO = 4
 
 
 class TSvd(NamedTuple):
@@ -128,20 +121,15 @@ def _factor(stack, vectors=True):
     """Singular values of every slice of a spectral stack, and a rebuild.
 
     Returns ``(s, rebuild)``: ``s`` is (slices, min(d1, d2)), each row
-    non-increasing and cleaned; ``rebuild(coeff)`` returns the stack with
-    those singular values replaced by the real ``coeff`` of the same shape.
-    With ``vectors=False`` no singular vectors are computed and
-    ``rebuild`` is None.
+    non-increasing and zero below the rounding floor; ``rebuild(coeff)``
+    returns the stack with those singular values replaced by the real
+    ``coeff`` of the same shape. With ``vectors=False`` no eigenvectors
+    are computed and ``rebuild`` is None.
     """
     _, d1, d2 = stack.shape
-    short, long = sorted((d1, d2))
-    if short * _GRAM_RATIO > long:
-        if not vectors:
-            return _clean_singvals(_svd(stack, compute_uv=False)), None
-        u, s, vh = _svd(stack)
-        return _clean_singvals(s), lambda coeff: (u * coeff[:, None, :]) @ vh
-    # Gram branch on the wide orientation: a tall stack is handled through
-    # its slice transposes, whose singular values and vectors mirror its own
+    long = max(d1, d2)
+    # work on the wide orientation: a tall stack is handled through its
+    # slice transposes, whose singular values and vectors mirror its own
     tall = d1 > d2
     wide = stack.mT if tall else stack
     gram = wide @ wide.conj().mT

@@ -97,6 +97,24 @@ def test_sweep_bad_alphas_entry_is_usage_error(alphas, capsys):
     assert "argument --alphas: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    (["synth", "--k", "2", "--n", "10"], "--dims", "0,4", "argument --dims: must be"),
+    (["synth", "--k", "2", "--n", "10"], "--dims", "4", "--dims: 1 entries for 2 views"),
+    (["synth", "--k", "2", "--n", "10"], "--dims", "4,4,4", "--dims: 3 entries for 2 views"),
+    (["bench", "--sizes", "100"], "--dims", "4,-1", "argument --dims: must be"),
+    (["bench", "--sizes", "100"], "--dims", "4", "--dims: 1 entries for 2 views"),
+    (["bench"], "--sizes", "0", "argument --sizes: must be"),
+    (["bench"], "--sizes", "300,-5", "argument --sizes: must be"),
+])
+def test_bad_integer_list_is_usage_error(command, flag, value, message, tmp_path, capsys):
+    # rejected before anything is generated or written
+    assert run_cli(*command, flag, value, "--out", str(tmp_path / "out")) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert message in err
+    assert "--anchors" not in err.splitlines()[-1]
+
+
 @pytest.mark.parametrize("anchors", ["500", "1000000000"])
 def test_bench_anchors_above_smallest_size_is_usage_error(anchors, capsys):
     # rejected before the warm-up solve or any allocation

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,3 +189,16 @@ def test_ranges(rng):
         for key in ("acc", "nmi", "purity", "fscore"):
             assert 0.0 <= scores[key] <= 1.0
         assert scores["ari"] <= 1.0
+
+
+def test_import_tenhash_loads_no_scipy():
+    # scipy is imported by accuracy() on first use, not by `import tenhash`
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tenhash; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert loaded == "[]"

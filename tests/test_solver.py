@@ -201,6 +201,24 @@ def test_code_update_zero_argument_tie(rng):
     assert np.all(codes[0] == 1.0)
 
 
+def test_code_update_returns_c_ordered_codes_from_moved_axis_inputs(rng):
+    # the auxiliary and dual blocks arrive as np.moveaxis views, the layout
+    # _aux_update returns; the residual norms sum in memory order, so the
+    # codes must not take that layout
+    graphs = make_graphs(rng, v=2, m=5, n=12)
+    config = make_config(bits=3)
+    state = init_state(graphs, config)
+    state.aux_code = np.moveaxis(rng.standard_normal((3, 12, 2)), 2, 0)
+    state.dual_code = np.moveaxis(rng.standard_normal((3, 12, 2)), 2, 0)
+    assert not state.aux_code.flags.c_contiguous
+    codes, projected = update_codes(state, graphs, config)
+    assert codes.flags.c_contiguous
+    assert projected.flags.c_contiguous
+    target = config.alpha * projected + 0.5 * (
+        state.mu * np.ascontiguousarray(state.aux_code) - state.dual_code)
+    assert np.array_equal(codes, np.where(target >= 0, 1.0, -1.0))
+
+
 def test_code_update_matches_brute_force():
     rng = np.random.default_rng(36)
     for trial in range(30):

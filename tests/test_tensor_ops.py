@@ -11,6 +11,7 @@ from tenhash.exceptions import (
 )
 from tenhash.tensor_ops import (
     _spectrum,
+    enhanced_tensor_nuclear_norm,
     enhanced_tensor_svt,
     extract_core_matrix,
     fold_core_matrix,
@@ -44,13 +45,13 @@ def low_rank_tensor(rng, shape, rank):
     )
 
 
-# slices at least 4 times wider than tall (or the reverse) take the Gram
-# branch, which leaves rounding noise where a singular value is zero
+# slices much wider than tall (or the reverse); the Gram factorization
+# leaves rounding noise where a singular value is zero
 GRAM_SHAPES = ((3, 40, 2), (40, 3, 3), (2, 29, 4), (5, 60, 5), (60, 5, 1), (8, 100, 3))
 
 
-# near-square slices with d3 <= 2, whose spectral stack is real; they take
-# the SVD branch (the Gram-branch shapes above include d3 = 1 and 2)
+# near-square slices with d3 <= 2, whose spectral stack is real (the
+# shapes above include d3 = 1 and 2 with far-from-square slices)
 REAL_SVD_SHAPES = ((4, 4, 2), (5, 3, 1), (3, 5, 2))
 
 
@@ -63,7 +64,7 @@ def real_svd_inputs(seed):
 
 
 def gram_branch_inputs(seed):
-    """Full-rank, rank-1 and rank-2 tensors of every Gram-branch shape."""
+    """Full-rank, rank-1 and rank-2 tensors of every GRAM_SHAPES shape."""
     rng = np.random.default_rng(seed)
     for shape in GRAM_SHAPES:
         yield rng.standard_normal(shape)
@@ -236,6 +237,17 @@ def test_tnn_matches_oracle():
         assert tensor_nuclear_norm(t) == pytest.approx(oracles.naive_tnn(t), abs=1e-8)
 
 
+def test_spectral_norms_share_one_rounding_floor(rng):
+    # a near-square slice goes through the same Gram factorization as a
+    # wide one, so a singular value below about sqrt(long_side * eps) of
+    # the largest counts as zero
+    u, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    t = ((u[:, :4] * [1.0, 1e-10, 0.0, 0.0]) @ v.T)[:, :, None]
+    assert tensor_nuclear_norm(t) == pytest.approx(1.0, abs=1e-13)
+    assert enhanced_tensor_nuclear_norm(t, 1.0) == pytest.approx(2.0, abs=1e-13)
+
+
 def test_tnn_norm_properties():
     rng = np.random.default_rng(16)
     for _ in range(20):
@@ -396,7 +408,7 @@ def test_enhanced_svt_equals_public_composition():
 
 
 def test_enhanced_svt_rectangular_fast_path_matches_composition():
-    # slices wide enough to take the Gram-eigendecomposition path
+    # far-from-square slices, factored through the Gram matrix of a short side
     rng = np.random.default_rng(30)
     for shape in ((3, 40, 2), (40, 3, 3), (2, 29, 4), (60, 5, 1)):
         t = rng.standard_normal(shape)
