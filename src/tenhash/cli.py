@@ -102,16 +102,17 @@ def _write_trace(history, path):
 
 
 def _pipeline(dataset, anchors, bits, alpha, zeta, k, seed, max_iter, tol,
-              standardize, restarts=8):
-    """kernelize -> solve -> Hamming k-means; returns predictions,
-    solver history and per-phase wall times."""
+              standardize, restarts=8, trace=False):
+    """kernelize -> solve -> Hamming k-means; returns the hash codes, the
+    solver history (with the trace-only fields when ``trace``), the
+    predicted labels and the per-phase wall times."""
     t0 = time.perf_counter()
     graphs = kernelize_views(dataset.views, anchors, seed, standardize=standardize)
     t1 = time.perf_counter()
     config = SolverConfig(
         alpha=alpha, bits=bits, zeta=zeta, max_iter=max_iter, tol=tol, seed=seed,
     )
-    codes, history = solve(graphs, config)
+    codes, history = solve(graphs, config, trace=trace)
     t2 = time.perf_counter()
     model = binary_kmeans_restarts(codes.fused, k, restarts=restarts, seed=seed)
     pred = model_labels(model)
@@ -178,6 +179,7 @@ def cmd_cluster(args, parser):
     codes, history, pred, times = _pipeline(
         dataset, anchors, args.bits, args.alpha, args.zeta, k, args.seed,
         args.max_iter, args.tol, not args.no_standardize, args.restarts,
+        trace=args.trace is not None,
     )
     report = {
         "dataset": dataset.name,
@@ -244,7 +246,9 @@ def cmd_sweep(args, parser):
 
 def cmd_bench(args, parser):
     dims = _view_dims(args, parser)
-    if args.sizes and args.anchors > min(args.sizes):
+    if not args.sizes:
+        parser.error("--sizes: no sample counts given")
+    if args.anchors > min(args.sizes):
         parser.error(f"--anchors: {args.anchors} exceeds the smallest --sizes "
                      f"entry, {min(args.sizes)} samples")
     # small untimed run first so BLAS thread pools are already warm

@@ -23,11 +23,16 @@ class ClusterModel:
     labels: np.ndarray
 
 
-def sign_pm1(x):
+def sign_pm1(x, out=None):
     """Elementwise sign into {-1,+1} with the tie rule sign(0) = +1
     (-0.0 too); NaN maps to -1. Computed as 2 * (x >= 0) - 1 in place on
-    one float array, several times faster than a select with ``np.where``."""
-    signs = (np.asarray(x) >= 0).astype(float)
+    one float array, several times faster than a select with ``np.where``:
+    on ``out`` if given (a float array of x's shape, possibly x itself),
+    else on a new one."""
+    if out is None:
+        signs = (np.asarray(x) >= 0).astype(float)
+    else:
+        signs = np.greater_equal(x, 0, out=out)
     signs *= 2.0
     signs -= 1.0
     return signs

@@ -20,7 +20,9 @@ eigendecomposed once per solve and every linear solve is two GEMMs.
 No product is formed twice from the same operands: the objective takes
 its fit from the code step's Q' phi, and phi B' (for the projection step)
 and the enhanced TNN of B (for the objective) are kept for as long as no
-code bit flips.
+code bit flips. Nothing is formed that only a trace reads: the objective
+and the projection step's normal-equation residual are computed only when
+:func:`solve` is asked for them (``trace=True``).
 
 Every block is one view-major array with view p at ``x[p]``: graphs are
 v x m x n, projections (and A, Y) v x m x bits, codes (and E, J)
@@ -79,13 +81,14 @@ class SolverState:
 @dataclass
 class IterationRecord:
     iteration: int
-    objective: float
+    objective: float | None  # None unless solve(..., trace=True)
     res_projection: float  # ||Q - A||_F
     res_code: float        # ||B - E||_F
     mu: float
     seconds: float
-    projection_residual: float  # relative normal-equation residual of the Q step
-    bits_flipped: int           # code entries the B step changed
+    # relative normal-equation residual of the Q step; None unless traced
+    projection_residual: float | None
+    bits_flipped: int      # code entries the B step changed
 
 
 @dataclass
@@ -162,16 +165,17 @@ def gram_factors(graphs):
     return gram, values, basis
 
 
-def update_projections(state, graph_codes, config, factors):
+def update_projections(state, graph_codes, config, factors, residual=True):
     """Exact minimizer of each view's projection subproblem.
 
     Solves (2*alpha*phi phi' + mu I) Q = 2*alpha*phi B' + mu A - Y per
     view through the eigendecomposition of phi phi' (``factors``, from
     :func:`gram_factors`); the system is positive definite for any mu > 0.
     ``graph_codes`` is phi B' for the current codes, which :func:`solve`
-    forms only when they have changed. Returns the new projections and the
-    largest relative residual of these normal equations over the views,
-    taken against the Gram matrix itself.
+    forms only when they have changed. Returns the new projections and,
+    with ``residual``, the largest relative residual of these normal
+    equations over the views, taken against the Gram matrix itself (one
+    more GEMM per view); without it, None.
     """
     mu = state.mu
     gram, values, basis = factors
@@ -185,6 +189,8 @@ def update_projections(state, graph_codes, config, factors):
         )
         scale = 2.0 * config.alpha * values + mu
         updated = basis @ ((basis.mT @ rhs) / scale[:, :, None])
+        if not residual:
+            return updated, None
         lhs = 2.0 * config.alpha * (gram @ updated) + mu * updated
         denom = np.linalg.norm(rhs, axis=(1, 2))
         res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / np.where(denom > 0, denom, 1.0)
@@ -200,8 +206,12 @@ def update_codes(state, graphs, config):
     # residual norms sum in memory order, so another layout rounds them
     # differently
     target = config.alpha * projected
-    target += 0.5 * (state.mu * state.aux_code - state.dual_code)
-    return sign_pm1(target), projected
+    # one temporary, updated in place; the target then becomes the codes
+    step = state.mu * state.aux_code
+    step -= state.dual_code
+    step *= 0.5
+    target += step
+    return sign_pm1(target, out=target), projected
 
 
 def _aux_update(block, dual, mu, zeta, n):
@@ -209,7 +219,9 @@ def _aux_update(block, dual, mu, zeta, n):
     the view as mode 3 of the tensor operator."""
     v, rows, _ = block.shape
     lam = 1.0 / np.sqrt(max(rows, v) * n)
-    tensor = np.moveaxis(block + dual / mu, 0, 2)
+    shifted = dual / mu
+    shifted += block
+    tensor = np.moveaxis(shifted, 0, 2)
     return np.moveaxis(enhanced_tensor_svt(tensor, mu, zeta, lam), 2, 0)
 
 
@@ -229,15 +241,26 @@ def update_aux_code(state, config):
     return _aux_update(state.codes, state.dual_code, state.mu, config.zeta, n)
 
 
-def update_multipliers(state, config):
-    """Gradient step on both multipliers, then grow the shared penalty:
-    mu <- min(RHO * mu, MU_MAX)."""
-    dual_projection = state.dual_projection + state.mu * (
-        state.projections - state.aux_projection
-    )
-    dual_code = state.dual_code + state.mu * (state.codes - state.aux_code)
+def _primal_gaps(state):
+    """The constraint gaps (Q - A, B - E); their norms are the primal
+    residuals."""
+    return state.projections - state.aux_projection, state.codes - state.aux_code
+
+
+def update_multipliers(state, config, gaps=None):
+    """Gradient step on both multipliers, Y + mu (Q - A) and J + mu (B - E),
+    then grow the shared penalty: mu <- min(RHO * mu, MU_MAX).
+
+    ``gaps`` is the pair (Q - A, B - E) when the caller has formed it
+    already; the step then writes the new multipliers into those arrays.
+    """
+    if gaps is None:
+        gaps = _primal_gaps(state)
+    for gap, dual in zip(gaps, (state.dual_projection, state.dual_code)):
+        gap *= state.mu
+        gap += dual
     mu = min(RHO * state.mu, MU_MAX)
-    return dual_projection, dual_code, mu
+    return *gaps, mu
 
 
 def objective_value(state, projected, config, code_norm=None):
@@ -265,14 +288,17 @@ def _check_finite(state, iteration, names):
             )
 
 
-def solve(graphs, config):
+def solve(graphs, config, trace=False):
     """Run the full alternating loop and fuse the learned codes.
 
     Stops when the larger of the two primal residuals, each normalized by
     the square root of its element count, drops below config.tol, or
     after config.max_iter iterations; ``HashCodes.stop_reason`` records
     which ("tolerance" or "max_iter"). Returns the hash codes and the
-    per-iteration history.
+    per-iteration history. Only with ``trace`` does each record carry the
+    objective and the projection step's normal-equation residual, which
+    nothing in the loop reads; otherwise both are None and neither is
+    computed. The codes and every other field are the same either way.
     """
     graphs = _graph_stack(graphs)
     state = init_state(graphs, config)
@@ -289,7 +315,9 @@ def solve(graphs, config):
         mu_used = state.mu
         if graph_codes is None:
             graph_codes = graphs @ state.codes.mT
-        state.projections, q_res = update_projections(state, graph_codes, config, factors)
+        state.projections, q_res = update_projections(
+            state, graph_codes, config, factors, trace,
+        )
         new_codes, projected = update_codes(state, graphs, config)
         flipped = int(np.count_nonzero(new_codes != state.codes))
         if flipped:
@@ -299,17 +327,21 @@ def solve(graphs, config):
         _check_finite(state, it, ("projections", "dual_projection", "dual_code"))
         # the objective reads only Q, B and phi: take it while Q' phi is at
         # hand, and free that product before the shrinkage steps
-        obj, code_norm = objective_value(state, projected, config, code_norm)
+        obj = None
+        if trace:
+            obj, code_norm = objective_value(state, projected, config, code_norm)
         del projected
         # neither shrinkage step reads the old A or E: free them first
         state.aux_projection = state.aux_code = None
         state.aux_projection = update_aux_projection(state, config)
         state.aux_code = update_aux_code(state, config)
         _check_finite(state, it, ("aux_projection", "aux_code"))
-        res_q = float(np.linalg.norm(state.projections - state.aux_projection))
-        res_b = float(np.linalg.norm(state.codes - state.aux_code))
+        # each difference gives its residual norm, then becomes its
+        # multiplier in place
+        gaps = _primal_gaps(state)
+        res_q, res_b = (float(np.linalg.norm(gap)) for gap in gaps)
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
-            state, config
+            state, config, gaps
         )
         history.append(IterationRecord(
             iteration=it,

@@ -54,7 +54,7 @@ def synthetic_run():
     t0 = time.perf_counter()
     graphs = kernelize_views(data.views, 100, seed=0, standardize=False)
     config = SolverConfig(alpha=0.01, bits=16, zeta=0.3, seed=0)
-    codes, history = solve(graphs, config)
+    codes, history = solve(graphs, config, trace=True)
     model = binary_kmeans_restarts(codes.fused, 4, restarts=8, seed=0)
     scores = all_metrics(labels(model), data.labels)
     elapsed = time.perf_counter() - t0

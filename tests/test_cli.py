@@ -105,6 +105,7 @@ def test_sweep_bad_alphas_entry_is_usage_error(alphas, capsys):
     (["bench", "--sizes", "100"], "--dims", "4", "--dims: 1 entries for 2 views"),
     (["bench"], "--sizes", "0", "argument --sizes: must be"),
     (["bench"], "--sizes", "300,-5", "argument --sizes: must be"),
+    (["bench"], "--sizes", ",", "--sizes: no sample counts given"),
 ])
 def test_bad_integer_list_is_usage_error(command, flag, value, message, tmp_path, capsys):
     # rejected before anything is generated or written
@@ -196,6 +197,24 @@ def test_cluster_reports_byte_identical_apart_from_timing(tmp_path):
 
     assert stripped(first) == stripped(second)
     assert json.loads(first.read_text()) != json.loads(second.read_text()) or True
+
+
+def test_cluster_report_same_with_and_without_trace(tmp_path):
+    ds = synth_dataset(tmp_path / "ds", n=80)
+    flags = ["--anchors", "40", "--bits", "8", "--seed", "7"]
+    plain = tmp_path / "plain.json"
+    traced = tmp_path / "traced.json"
+    assert run_cli("cluster", str(ds), *flags, "--out", str(plain)) == 0
+    assert run_cli("cluster", str(ds), *flags, "--out", str(traced),
+                   "--trace", str(tmp_path / "trace.csv")) == 0
+
+    def untimed(path):
+        report = json.loads(path.read_text())
+        assert sorted(k for k in report if k.startswith("time_")) == [
+            "time_cluster", "time_kernelize", "time_solve"]
+        return {k: val for k, val in report.items() if not k.startswith("time_")}
+
+    assert untimed(plain) == untimed(traced)
 
 
 def test_cluster_reports_stop_reason(tmp_path):

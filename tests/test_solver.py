@@ -441,8 +441,8 @@ def test_solve_two_cluster_synthetic_converges():
 def test_solve_list_and_stack_inputs_bit_identical(rng):
     graphs = [rng.random((6, 15)) for _ in range(3)]
     config = make_config(alpha=0.2, bits=4, max_iter=20)
-    codes_a, hist_a = solve(graphs, config)
-    codes_b, hist_b = solve(np.stack(graphs), config)
+    codes_a, hist_a = solve(graphs, config, trace=True)
+    codes_b, hist_b = solve(np.stack(graphs), config, trace=True)
     assert np.array_equal(codes_a.per_view, codes_b.per_view)
     assert np.array_equal(codes_a.fused, codes_b.fused)
     assert codes_a.stop_reason == codes_b.stop_reason
@@ -458,8 +458,8 @@ def test_solve_list_and_stack_inputs_bit_identical(rng):
 def test_solve_deterministic(rng):
     graphs = make_graphs(rng, v=2, m=6, n=15)
     config = make_config(alpha=0.2, bits=4)
-    codes_a, hist_a = solve(graphs, config)
-    codes_b, hist_b = solve(graphs, config)
+    codes_a, hist_a = solve(graphs, config, trace=True)
+    codes_b, hist_b = solve(graphs, config, trace=True)
     assert np.array_equal(codes_a.fused, codes_b.fused)
     for x, y in zip(codes_a.per_view, codes_b.per_view):
         assert np.array_equal(x, y)
@@ -492,7 +492,7 @@ def test_solve_codes_binary_every_iteration(rng):
 def test_solve_q_residual_small_every_iteration(rng):
     graphs = make_graphs(rng, v=2, m=6, n=14)
     config = make_config(alpha=0.4, bits=4, max_iter=60)
-    _, history = solve(graphs, config)
+    _, history = solve(graphs, config, trace=True)
     assert all(rec.projection_residual <= 1e-8 for rec in history)
 
 
@@ -584,7 +584,7 @@ def test_solve_reuse_is_exact_and_happens(monkeypatch):
 
     monkeypatch.setattr(solver, "enhanced_tensor_nuclear_norm", counting_etnn)
     monkeypatch.setattr(solver, "update_projections", recording_step)
-    codes, history = solve(graphs, config)
+    codes, history = solve(graphs, config, trace=True)
 
     assert np.array_equal(codes.per_view, want_codes)
     assert codes.stop_reason == want_stop
@@ -605,6 +605,45 @@ def test_solve_reuse_is_exact_and_happens(monkeypatch):
         assert reused == (flips[k - 1] == 0)
     distinct = {id(x) for x in graph_codes_seen}
     assert len(distinct) == 1 + sum(f > 0 for f in flips[:-1])
+
+
+@pytest.mark.parametrize("v", [1, 2, 3])
+def test_untraced_solve_matches_traced_without_trace_only_work(v, monkeypatch):
+    graphs = np.random.default_rng(5).random((v, 6, 20))
+    config = make_config(alpha=0.5, bits=3)
+    want_codes, want_history = solve(graphs, config, trace=True)
+
+    calls = dict.fromkeys(
+        ["objective_value", "enhanced_tensor_nuclear_norm", "update_multipliers"], 0)
+    for name in calls:
+        def counting(*args, _name=name, _step=getattr(solver, name)):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(solver, name, counting)
+    codes, history = solve(graphs, config)
+
+    assert np.array_equal(codes.per_view, want_codes.per_view)
+    assert np.array_equal(codes.fused, want_codes.fused)
+    assert codes.stop_reason == want_codes.stop_reason
+    assert len(history) > 1
+    assert [
+        (r.iteration, r.res_projection, r.res_code, r.mu, r.bits_flipped)
+        for r in history
+    ] == [
+        (r.iteration, r.res_projection, r.res_code, r.mu, r.bits_flipped)
+        for r in want_history
+    ]
+    assert all(r.objective is None and r.projection_residual is None for r in history)
+    assert all(
+        r.objective is not None and r.projection_residual is not None
+        for r in want_history
+    )
+    assert calls == {
+        "objective_value": 0,
+        "enhanced_tensor_nuclear_norm": 0,
+        "update_multipliers": len(history),
+    }
 
 
 def test_solve_returns_hash_codes_type(rng):
