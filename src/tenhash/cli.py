@@ -72,9 +72,17 @@ def _alpha_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _output_path(text):
+    """argparse type of every output-path flag: a non-empty path (an empty
+    one would write nothing, or fall back to stdout)."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def _write_report(report, path):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path:
+    if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     else:
@@ -200,11 +208,11 @@ def cmd_cluster(args, parser):
         report.update(all_metrics(pred, dataset.labels))
     report.update(times)
     _write_report(report, args.out)
-    if args.trace:
+    if args.trace is not None:
         _write_trace(history, args.trace)
-    if args.labels_out:
+    if args.labels_out is not None:
         np.savetxt(args.labels_out, pred, fmt="%d")
-    if args.codes_out:
+    if args.codes_out is not None:
         np.savetxt(args.codes_out, codes.fused, fmt="%d", delimiter=",")
     return 0
 
@@ -282,14 +290,14 @@ def cmd_bench(args, parser):
             "iterations": iters,
             "sec_per_iter": f"{per_iter:.6f}",
         })
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    out = open(args.out, "w", newline="") if args.out is not None else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=["n", "seconds", "iterations", "sec_per_iter"])
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
     finally:
-        if args.out:
+        if args.out is not None:
             out.close()
     return 0
 
@@ -337,7 +345,7 @@ def build_parser():
                        help="per-view feature dims, e.g. 10,10")
     synth.add_argument("--sep", type=_nonnegative_float, default=8.0)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--out", required=True)
+    synth.add_argument("--out", type=_output_path, required=True)
     synth.add_argument("--force", action="store_true")
     synth.set_defaults(func=cmd_synth)
 
@@ -345,18 +353,20 @@ def build_parser():
     noise.add_argument("dataset")
     noise.add_argument("--ratio", type=_ratio, required=True)
     noise.add_argument("--seed", type=int, default=0)
-    noise.add_argument("--out", required=True)
+    noise.add_argument("--out", type=_output_path, required=True)
     noise.add_argument("--force", action="store_true")
     noise.set_defaults(func=cmd_noise)
 
     cluster = subs.add_parser("cluster", help="end-to-end clustering run")
     cluster.add_argument("dataset")
     _add_pipeline_flags(cluster)
-    cluster.add_argument("--out", default=None, help="report path (default stdout)")
-    cluster.add_argument("--trace", default=None, help="per-iteration CSV path")
-    cluster.add_argument("--labels-out", default=None,
+    cluster.add_argument("--out", type=_output_path, default=None,
+                         help="report path (default stdout)")
+    cluster.add_argument("--trace", type=_output_path, default=None,
+                         help="per-iteration CSV path")
+    cluster.add_argument("--labels-out", type=_output_path, default=None,
                          help="write predicted labels, one per line")
-    cluster.add_argument("--codes-out", default=None,
+    cluster.add_argument("--codes-out", type=_output_path, default=None,
                          help="write the fused sign codes as CSV")
     cluster.set_defaults(func=cmd_cluster)
 
@@ -365,7 +375,8 @@ def build_parser():
     _add_pipeline_flags(sweep)
     sweep.add_argument("--alphas", type=_alpha_list, default=None,
                        help="comma-separated grid (default 1e-8..1e2 decades)")
-    sweep.add_argument("--out", required=True, help="aggregated CSV path")
+    sweep.add_argument("--out", type=_output_path, required=True,
+                       help="aggregated CSV path")
     sweep.set_defaults(func=cmd_sweep)
 
     bench = subs.add_parser("bench", help="time the solver across sample counts")
@@ -384,13 +395,13 @@ def build_parser():
     bench.add_argument("--tol", type=_positive_float, default=1e-12,
                        help="kept tiny so every size runs the full cap")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", default=None)
+    bench.add_argument("--out", type=_output_path, default=None)
     bench.set_defaults(func=cmd_bench)
 
     evalp = subs.add_parser("eval", help="score predicted labels against truth")
     evalp.add_argument("pred")
     evalp.add_argument("truth")
-    evalp.add_argument("--out", default=None)
+    evalp.add_argument("--out", type=_output_path, default=None)
     evalp.set_defaults(func=cmd_eval)
 
     return parser

@@ -27,7 +27,10 @@ and the projection step's normal-equation residual are computed only when
 Every block is one view-major array with view p at ``x[p]``: graphs are
 v x m x n, projections (and A, Y) v x m x bits, codes (and E, J)
 v x bits x n. Each update is one batched expression over the views; the
-tensor operators take the view as mode 3 through ``np.moveaxis`` views.
+tensor operators take the view as mode 3 through ``np.moveaxis`` views,
+which their mode-3 transform reads as a free d3 x (d1*d2) reshape, and
+the shrinkage steps return A and E C-contiguous (the residual norms sum
+in memory order, so the layout is part of the result).
 """
 
 import time

@@ -8,13 +8,17 @@ the t-SVD core, and the shrinkage (proximal) operators built on them.
 Every operator goes through one spectral path. The spectrum of a real
 tensor is conjugate-symmetric along mode 3, so only its d3//2+1
 independent slices are computed, as one contiguous stack that batched
-``numpy.linalg`` calls factor at once. For d3 <= 2 every independent
-slice is real: the spectrum is the tensor's single slice (d3 = 1) or the
-sum and the difference of its two slices (d3 = 2), kept as a real stack
-with no FFT, so the factorizations run in real arithmetic; the inverse
-is the half-sum and half-difference. For d3 >= 3 the stack is complex:
-``rfft`` computes it and ``irfft`` rebuilds the real tensor and supplies
-the mirrored slices.
+``numpy.linalg`` calls factor at once. The transform is one product with
+the real DFT matrix of length d3 (built once per d3, exact at quarter
+turns) over the tensor's d3 x (d1*d2) view-major matrix, and the inverse
+one product with its inverse: mode 3 is the short view axis, where the
+d3^2 multiply-adds per entry cost less than an FFT over a strided axis.
+For d3 <= 2 every independent slice is real and the matrices hold only
+0, +-1 and +-1/2, so the spectrum is exactly the slice (d3 = 1) or the sum
+and the difference of the two slices (d3 = 2) and the factorizations run
+in real arithmetic. For d3 >= 3 the stack is complex and agrees with an
+FFT to rounding level. Only :func:`mode3_dft` and :func:`mode3_idft`, the
+full complex transforms, call ``numpy.fft``.
 
 Slice singular values come from one factorization, the eigendecomposition
 of the Gram matrix of the slices' short side (BLAS-3 work linear in the
@@ -24,8 +28,10 @@ singular values below about sqrt(long_side * eps) of the largest. t_svd
 and matrix_svt use LAPACK's SVD, with RANK_TOL as their cutoff.
 """
 
-import numpy as np
+import functools
 from typing import NamedTuple
+
+import numpy as np
 
 from .exceptions import (
     ConjugateSymmetryViolation,
@@ -77,37 +83,77 @@ def _svd(mat, full_matrices=False, compute_uv=True):
         raise SvdNonConvergence(str(exc)) from exc
 
 
+@functools.lru_cache(maxsize=16)
+def _dft_matrices(d3):
+    """The real DFT matrix of length d3 and its inverse, both d3 x d3 and
+    read-only.
+
+    Applied to the d3 slices of a real tensor, the forward matrix gives its
+    spectrum packed as real numbers: rows 0..h-1 (h = d3//2+1) are the real
+    parts of the independent spectral slices 0..h-1, and rows h..d3-1 the
+    imaginary parts of slices 1..d3-h, the only ones that have one. The
+    inverse weighs slice 0 (and slice d3/2 for even d3) by 1/d3 and every
+    other slice by 2/d3, for its mirror. Entries at quarter turns are exact,
+    so for d3 <= 2 and d3 = 4 the forward matrix holds only 0 and +-1 and
+    the inverse only 0 and +-1/d3, +-2/d3.
+    """
+    h = d3 // 2 + 1
+    sines = slice(1, d3 - h + 1)
+    turns = np.outer(np.arange(h), np.arange(d3)) % d3
+    quarter, rest = np.divmod(4 * turns, d3)
+    angle = 2 * np.pi * turns / d3
+    exact = rest == 0
+    cos = np.where(exact, np.array([1.0, 0.0, -1.0, 0.0])[quarter], np.cos(angle))
+    # the imaginary part of exp(-i angle)
+    neg_sin = np.where(exact, np.array([0.0, -1.0, 0.0, 1.0])[quarter], -np.sin(angle))
+    weight = np.full(h, 1.0 / d3)
+    weight[sines] = 2.0 / d3
+    forward = np.vstack([cos, neg_sin[sines]])
+    inverse = np.hstack([cos.T * weight, neg_sin[sines].T * weight[sines]])
+    forward.flags.writeable = inverse.flags.writeable = False
+    return forward, inverse
+
+
 def _spectrum(t):
     """The d3//2+1 independent spectral slices of a real tensor, as a
     contiguous (d3//2+1) x d1 x d2 stack (batched matrix products on
     non-contiguous stacks fall off BLAS); real for d3 <= 2, complex
-    otherwise."""
+    otherwise.
+
+    One product of the real DFT matrix with the view-major d3 x (d1*d2)
+    reshape of ``t``; that reshape is free when ``t`` is the mode-3 view of
+    a contiguous view-major block, and a copy otherwise.
+    """
     d1, d2, d3 = t.shape
-    if d3 == 1:
-        return np.ascontiguousarray(np.moveaxis(t, 2, 0))
-    if d3 == 2:
-        stack = np.empty((2, d1, d2))
-        np.add(t[:, :, 0], t[:, :, 1], out=stack[0])
-        np.subtract(t[:, :, 0], t[:, :, 1], out=stack[1])
-        return stack
-    stack = np.empty((d3 // 2 + 1, d1, d2), dtype=complex)
-    np.fft.rfft(t, axis=2, out=np.moveaxis(stack, 0, 2))
-    return stack
+    h = d3 // 2 + 1
+    packed = _dft_matrices(d3)[0] @ np.moveaxis(t, 2, 0).reshape(d3, d1 * d2)
+    if d3 <= 2:
+        return packed.reshape(h, d1, d2)
+    stack = np.zeros((h, d1 * d2), dtype=complex)
+    stack.real = packed[:h]
+    stack.imag[1 : d3 - h + 1] = packed[h:]
+    return stack.reshape(h, d1, d2)
 
 
 def _from_spectrum(stack, d3):
     """Real d1 x d2 x d3 tensor whose independent spectral slices are
     ``stack`` (inverse of :func:`_spectrum`); the mirrored slices are
-    their conjugates by construction."""
-    if d3 == 1:
-        return np.ascontiguousarray(np.moveaxis(stack, 0, 2))
-    out = np.empty(stack.shape[1:] + (d3,))
-    if d3 == 2:
-        np.add(stack[0], stack[1], out=out[:, :, 0])
-        np.subtract(stack[0], stack[1], out=out[:, :, 1])
-        out *= 0.5
-        return out
-    return np.fft.irfft(np.moveaxis(stack, 0, 2), n=d3, axis=2, out=out)
+    their conjugates by construction.
+
+    One product of the inverse real DFT matrix with the packed spectrum,
+    written into a contiguous view-major d3 x d1 x d2 array; the result is
+    its mode-3 view.
+    """
+    h, d1, d2 = stack.shape
+    if d3 <= 2:
+        packed = stack.reshape(h, d1 * d2)
+    else:
+        packed = np.empty((d3, d1, d2))
+        packed[:h] = stack.real
+        packed[h:] = stack.imag[1 : d3 - h + 1]
+        packed = packed.reshape(d3, d1 * d2)
+    out = _dft_matrices(d3)[1] @ packed
+    return np.moveaxis(out.reshape(d3, d1, d2), 0, 2)
 
 
 def _all_slices(half, d3):

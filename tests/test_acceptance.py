@@ -232,15 +232,19 @@ def test_criterion_6_convergence(synthetic_run, tmp_path):
 
 
 def test_criterion_7_linear_scaling(tmp_path):
-    out = tmp_path / "bench.csv"
-    code = main([
-        "bench", "--sizes", "5000,10000,20000", "--anchors", "500",
-        "--bits", "32", "--max-iter", "5", "--seed", "0", "--out", str(out),
-    ])
-    assert code == 0
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    per_iter = [float(r["sec_per_iter"]) for r in rows]
+    # a wall-clock gate on a shared host: each size's time is the minimum
+    # over repeated runs, so one slow spell does not decide it
+    runs = []
+    for repeat in range(3):
+        out = tmp_path / f"bench{repeat}.csv"
+        code = main([
+            "bench", "--sizes", "5000,10000,20000", "--anchors", "500",
+            "--bits", "32", "--max-iter", "5", "--seed", "0", "--out", str(out),
+        ])
+        assert code == 0
+        with open(out) as fh:
+            runs.append([float(r["sec_per_iter"]) for r in csv.DictReader(fh)])
+    per_iter = [min(times) for times in zip(*runs)]
     ratios = [per_iter[i + 1] / per_iter[i] for i in range(len(per_iter) - 1)]
     ok = all(r <= 2.6 for r in ratios)
     report(

@@ -124,6 +124,24 @@ def test_bench_anchors_above_smallest_size_is_usage_error(anchors, capsys):
     assert f"--anchors: {anchors} exceeds the smallest --sizes entry, 100 samples" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["synth", "--k", "2", "--n", "10"], "--out"),
+    (["noise", "ds", "--ratio", "0.1"], "--out"),
+    (["cluster", "ds", "--k", "2"], "--out"),
+    (["cluster", "ds", "--k", "2"], "--trace"),
+    (["cluster", "ds", "--k", "2"], "--labels-out"),
+    (["cluster", "ds", "--k", "2"], "--codes-out"),
+    (["sweep", "ds", "--k", "2"], "--out"),
+    (["bench", "--sizes", "100"], "--out"),
+    (["eval", "pred.txt", "truth.txt"], "--out"),
+])
+def test_empty_output_path_is_usage_error(command, flag, capsys):
+    # an empty path would write nothing (or, for a report, go to stdout);
+    # it is rejected before any dataset is read
+    assert run_cli(*command, flag, "") == 2
+    assert f"argument {flag}: expected a file path, got ''" in capsys.readouterr().err
+
+
 def test_runtime_failure_exit_code(tmp_path, capsys):
     code = run_cli("cluster", str(tmp_path / "missing"), "--k", "2")
     assert code == 1

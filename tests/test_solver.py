@@ -301,6 +301,21 @@ def test_aux_updates_use_documented_shrinkage_weights(rng):
     assert np.array_equal(update_aux_code(state, config), np.moveaxis(want_e, 2, 0))
 
 
+@pytest.mark.parametrize("v", [1, 2, 3, 4])
+def test_aux_updates_return_c_contiguous_view_major_blocks(v, rng):
+    # the residual norms sum in memory order, so the layout is part of
+    # the result
+    graphs = make_graphs(rng, v=v, m=5, n=12)
+    config = make_config()
+    state = init_state(graphs, config)
+    state.mu = 0.7
+    for update, stack in ((update_aux_projection, state.projections),
+                          (update_aux_code, state.codes)):
+        got = update(state, config)
+        assert got.shape == stack.shape
+        assert got.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # multipliers
 

@@ -10,6 +10,8 @@ from tenhash.exceptions import (
     DimensionMismatch,
 )
 from tenhash.tensor_ops import (
+    _dft_matrices,
+    _from_spectrum,
     _spectrum,
     enhanced_tensor_nuclear_norm,
     enhanced_tensor_svt,
@@ -126,6 +128,50 @@ def test_spectrum_depth_two_matches_naive_oracle():
     stack = _spectrum(t)
     for j in (0, 1):
         assert rel_err(stack[j], want[:, :, j]) <= 1e-12
+
+
+def spectrum_inputs(rng, d3):
+    """A C-contiguous d1 x d2 x d3 tensor, and the mode-3 view of a
+    contiguous view-major block (the layout the solver passes)."""
+    yield rng.standard_normal((4, 5, d3))
+    yield np.moveaxis(rng.standard_normal((d3, 3, 6)), 0, 2)
+
+
+@pytest.mark.parametrize("d3", range(1, 10))
+def test_spectrum_matches_rfft_and_naive_oracle(d3, rng):
+    for t in spectrum_inputs(rng, d3):
+        stack = _spectrum(t)
+        assert stack.flags.c_contiguous
+        assert rel_err(stack, np.moveaxis(np.fft.rfft(t, axis=2), 2, 0)) <= 1e-13
+        want = np.moveaxis(oracles.naive_dft_mode3(t)[:, :, : d3 // 2 + 1], 2, 0)
+        assert rel_err(stack, want) <= 1e-13
+
+
+@pytest.mark.parametrize("d3", range(1, 10))
+def test_from_spectrum_round_trip(d3, rng):
+    for t in spectrum_inputs(rng, d3):
+        back = _from_spectrum(_spectrum(t), d3)
+        assert rel_err(back, t) <= 1e-14
+        # the mode-3 view of one contiguous view-major array
+        assert np.moveaxis(back, 2, 0).flags.c_contiguous
+
+
+def test_dft_rows_exact_at_quarter_turns():
+    for d3 in (1, 2, 4):
+        forward, inverse = _dft_matrices(d3)
+        assert set(np.unique(forward)) <= {-1.0, 0.0, 1.0}
+        assert np.array_equal(inverse @ forward, np.eye(d3))
+
+
+def test_depth_two_spectrum_is_exact_sum_and_difference(rng):
+    # the 0/+-1 and 1/2 coefficients add no rounding beyond the sum itself
+    t = np.moveaxis(rng.standard_normal((2, 7, 9)), 0, 2)
+    stack = _spectrum(t)
+    assert np.array_equal(stack[0], t[:, :, 0] + t[:, :, 1])
+    assert np.array_equal(stack[1], t[:, :, 0] - t[:, :, 1])
+    back = _from_spectrum(stack, 2)
+    assert np.array_equal(back[:, :, 0], (stack[0] + stack[1]) * 0.5)
+    assert np.array_equal(back[:, :, 1], (stack[0] - stack[1]) * 0.5)
 
 
 def test_round_trip_over_corpus():
