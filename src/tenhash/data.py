@@ -151,7 +151,14 @@ def load_multiview(path):
                 meta = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"{meta_path}: {exc}", path=meta_path) from exc
+        if not isinstance(meta, dict):
+            raise ParseError(
+                f"{meta_path}: top level must be a JSON object, got "
+                f"{type(meta).__name__}", path=meta_path)
         name = meta.get("name", name)
+        if not isinstance(name, str):
+            raise ParseError(
+                f"{meta_path}: name must be a string, got {name!r}", path=meta_path)
         declared = {
             "views": v, "n": n, "dims": [vw.shape[0] for vw in views],
         }

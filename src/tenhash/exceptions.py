@@ -28,7 +28,7 @@ class AnchorCountExceedsSamples(TenhashError, ValueError):
 
 
 class NonPositiveBandwidth(TenhashError, ValueError):
-    """RBF kernel width must be strictly positive."""
+    """RBF kernel width must be finite and strictly positive."""
 
 
 class InconsistentSampleCounts(TenhashError, ValueError):

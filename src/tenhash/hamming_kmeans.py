@@ -88,38 +88,39 @@ def _check_sign_codes(codes):
             f"{codes[bit, sample]}, not -1 or +1")
 
 
-def _first_occurrences(codes):
-    """Sample index of each distinct code's first occurrence, ascending."""
+def _distinct_codes(codes):
+    """Each sample's distinct-code id (0..u-1, in key order), from one
+    sort of packed-byte keys."""
     keys = np.packbits(np.ascontiguousarray((codes > 0).T), axis=1)  # n x bytes
-    return np.sort(np.unique(keys.view(f"V{keys.shape[1]}"), return_index=True)[1])
+    keys = keys.view(f"V{keys.shape[1]}").ravel()
+    return np.unique(keys, return_inverse=True)[1]
 
 
 def binary_kmeans(codes, k, seed=0):
     """Alternating discrete k-means on +-1 hash codes.
 
-    Seeds with k distinct sample codes by seeded sampling (duplicates
-    re-drawn up to n times), then alternates assignment and centroid steps
-    until the labels stop changing or for MAX_ITER rounds. With u < k
-    distinct codes the seeds are those codes in order of first sample, then
-    samples 0..k-u-1 (where the empty-cluster reseed puts the other
-    clusters), so each sample's label is its code's rank in that order, at
-    error 0.
+    Seeds with the first k distinct codes met along one seeded permutation
+    of the samples, then alternates assignment and centroid steps until
+    the labels stop changing or for MAX_ITER rounds. With u < k distinct
+    codes the walk is the sample order instead, and the u codes it meets
+    are followed by samples 0..k-u-1 (where the empty-cluster reseed puts
+    the other clusters), so each sample's label is its code's rank in that
+    order, at error 0. For u >= k this rule replaced redrawing k-sample
+    draws until their codes were distinct, so seeds and labels differ from
+    earlier releases.
     """
     codes = np.asarray(codes, dtype=float)
     _check_sign_codes(codes)
     n = codes.shape[1]
     if not 1 <= k <= n:
         raise InvalidK(f"k must be in 1..{n}, got {k}")
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(n, size=k, replace=False)
-    for attempt in range(n):
-        # byte keys compare +-1 columns exactly, far cheaper than np.unique
-        if len({col.tobytes() for col in codes[:, chosen].T}) == k:
-            break
-        if attempt == 0 and (first := _first_occurrences(codes)).size < k:
-            chosen = np.concatenate([first, np.arange(k - first.size)])
-            break
-        chosen = rng.choice(n, size=k, replace=False)
+    ids = _distinct_codes(codes)
+    u = ids.max() + 1
+    order = np.arange(n) if u < k else np.random.default_rng(seed).permutation(n)
+    # the step of the walk at which each distinct code is first met
+    met = np.full(u, n)
+    np.minimum.at(met, ids[order], np.arange(n))
+    chosen = np.concatenate([order[np.sort(met)[:k]], np.arange(max(k - u, 0))])
     centroids = codes[:, chosen]
 
     labels = assign_step(codes, centroids)

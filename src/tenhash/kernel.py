@@ -115,8 +115,9 @@ def estimate_bandwidth(view, anchors):
 
 def kernelize(view, anchors, delta):
     """RBF bipartite graph: entry (j, i) = exp(-||x_i - s_j||^2 / delta)."""
-    if delta <= 0:
-        raise NonPositiveBandwidth(f"kernel width must be > 0, got {delta}")
+    # every comparison with NaN is False, so NaN is rejected too
+    if not 0 < delta < np.inf:
+        raise NonPositiveBandwidth(f"kernel width must be finite and > 0, got {delta}")
     view = np.asarray(view, dtype=float)
     anchor_mat, indices = _anchor_matrix(anchors)
     return _rbf(_squared_distances(view, anchor_mat, indices), delta)

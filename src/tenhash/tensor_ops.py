@@ -287,7 +287,8 @@ def tensor_nuclear_norm(t):
 def enhanced_tensor_nuclear_norm(t, zeta):
     """Nuclear norm of the core matrix plus zeta times the tensor
     nuclear norm of ``t``."""
-    if zeta < 0:
+    # every comparison with NaN is False, so NaN is rejected too
+    if not 0 <= zeta:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
     t = _as_tensor3(t)
     s, _ = _factor(_spectrum(t), vectors=False)
@@ -347,7 +348,7 @@ def matrix_svt(m, tau):
     Returns the unique minimizer of ``tau*||X||_* + 0.5*||X - m||_F^2``,
     i.e. U @ diag(max(sigma - tau, 0)) @ Vt.
     """
-    if tau < 0:
+    if not 0 <= tau:
         raise ValueError(f"threshold must be >= 0, got {tau}")
     m = np.asarray(m)
     u, s, vt = _svd(m)
@@ -362,7 +363,7 @@ def tensor_svt(t, tau):
     slice, then transforms back. With the 1/d3 norm convention this is
     the exact minimizer of ``tau*||X||_tnn + 0.5*||X - t||_F^2``.
     """
-    if tau < 0:
+    if not 0 <= tau:
         raise ValueError(f"threshold must be >= 0, got {tau}")
     t = _as_tensor3(t)
     s, rebuild = _factor(_spectrum(t))
@@ -386,9 +387,9 @@ def enhanced_tensor_svt(t, mu, zeta, lam):
     (decompose, extract, shrink, fold, rebuild, shrink) but never forms
     the full square orthogonal factors.
     """
-    if mu <= 0:
+    if not 0 < mu:
         raise ValueError(f"mu must be > 0, got {mu}")
-    if zeta < 0 or lam < 0:
+    if not (0 <= zeta and 0 <= lam):
         raise ValueError("zeta and lam must be >= 0")
     t = _as_tensor3(t)
     if zeta == 0 and lam == 0:

@@ -189,31 +189,29 @@ def exhaustive_nearest_centroid(codes, centroids):
     return assign
 
 
-def unique_redraw_seeds(codes, k, seed):
-    """Initial centroid columns of binary k-means by the first seeding
-    loop: draw k distinct samples, redraw up to n times while np.unique
-    finds fewer than k distinct codes among them. With fewer than k
-    distinct codes in all, the u first occurrences in sample order, then
-    samples 0..k-u-1."""
+def first_distinct_seeds(codes, k, seed):
+    """Initial centroid columns of binary k-means: walk one seeded
+    permutation of the samples and keep a sample the first time its code is
+    seen, until k are kept. With fewer than k distinct codes in all, the u
+    first occurrences in sample order, then samples 0..k-u-1."""
     n = codes.shape[1]
     first = sorted(np.unique(codes, axis=1, return_index=True)[1].tolist())
     if len(first) < k:
         return first + list(range(k - len(first)))
-    rng = np.random.default_rng(seed)
-    chosen = list(rng.choice(n, size=k, replace=False))
-    for _ in range(n):
-        if np.unique(codes[:, chosen], axis=1).shape[1] == k:
-            break
-        chosen = list(rng.choice(n, size=k, replace=False))
-    return chosen
+    seen, chosen = set(), []
+    for i in np.random.default_rng(seed).permutation(n).tolist():
+        code = tuple(codes[:, i])
+        if code not in seen:
+            seen.add(code)
+            chosen.append(i)
+    return chosen[:k]
 
 
 def one_hot_binary_kmeans(codes, k, max_iter=100, seed=0):
     """Binary k-means with the assignment held as a dense k x n one-hot
-    matrix: seeds redrawn up to n times while any two
-    coincide, the last draw kept; centroids by the GEMM majority vote;
-    empty clusters re-seeded with the samples farthest from their
-    centroids. Returns (centroids, labels)."""
+    matrix: seeds by :func:`first_distinct_seeds`; centroids by the GEMM
+    majority vote; empty clusters re-seeded with the samples farthest from
+    their centroids. Returns (centroids, labels)."""
     codes = np.asarray(codes, dtype=float)
     l, n = codes.shape
 
@@ -233,12 +231,7 @@ def one_hot_binary_kmeans(codes, k, max_iter=100, seed=0):
                 centroids[:, j] = codes[:, order[rank % order.size]]
         return centroids
 
-    rng = np.random.default_rng(seed)
-    chosen = list(rng.choice(n, size=k, replace=False))
-    for _ in range(n):
-        if len({col.tobytes() for col in codes[:, chosen].T}) == k:
-            break
-        chosen = list(rng.choice(n, size=k, replace=False))
+    chosen = first_distinct_seeds(codes, k, seed)
     centroids = codes[:, chosen].copy()
     assignment = assign(centroids)
     for _ in range(max_iter):

@@ -147,6 +147,14 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_malformed_meta_exit_code(tmp_path, capsys):
+    ds = synth_dataset(tmp_path / "ds", n=40)
+    (ds / "meta.json").write_text("[1, 2]")
+    assert run_cli("cluster", str(ds), "--k", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "meta.json" in err
+
+
 # ---------------------------------------------------------------------------
 # cluster
 

@@ -93,6 +93,15 @@ def test_load_validates_meta(tmp_path):
     assert "meta.json" in str(info.value)
 
 
+@pytest.mark.parametrize("meta", ["[1, 2]", "3", "null", '{"name": 5}'])
+def test_load_rejects_malformed_meta(tmp_path, meta):
+    (tmp_path / "view_1.csv").write_text("1,2,3\n")
+    (tmp_path / "meta.json").write_text(meta)
+    with pytest.raises(ParseError) as info:
+        load_multiview(tmp_path)
+    assert "meta.json" in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # saving
 

@@ -230,17 +230,30 @@ def test_kmeans_deterministic(rng):
     assert np.array_equal(a.labels, b.labels)
 
 
+# 10 distinct 4-bit codes, one per column
+TEN_CODES = np.array(
+    [[1.0 if (c >> b) & 1 else -1.0 for c in range(10)] for b in range(4)])
+
+
+def skewed_codes(rng):
+    """One code on 191 of 200 samples and 9 singletons: 10 distinct
+    codes, nearly every k=8 sample draw repeats the common one."""
+    return TEN_CODES[:, rng.permutation(np.r_[np.zeros(191, int), 1:10])]
+
+
 def test_kmeans_seeding_matches_unique_oracle(rng):
-    # 10 distinct 4-bit codes over 60 samples: k=6 redraws until its seeds
-    # are distinct, k=12 has fewer distinct codes than clusters and seeds
-    # with the first occurrences
-    patterns = np.array(
-        [[1.0 if (c >> b) & 1 else -1.0 for c in range(10)] for b in range(4)])
-    codes = patterns[:, rng.permutation(np.arange(60) % 10)]
-    for k in (6, 12):
+    # 10 distinct 4-bit codes over 60 samples: k=6 seeds with the first 6
+    # distinct codes of a seeded walk, k=12 has fewer distinct codes than
+    # clusters and seeds with the first occurrences; the skewed input has
+    # 10 distinct codes that a k=8 walk must find past the common one
+    cases = [(TEN_CODES[:, rng.permutation(np.arange(60) % 10)], k) for k in (6, 12)]
+    cases.append((skewed_codes(rng), 8))
+    for codes, k in cases:
         for seed in range(8):
             model = binary_kmeans(codes, k, seed=seed)
-            centroids = codes[:, oracles.unique_redraw_seeds(codes, k, seed)].copy()
+            seeds = oracles.first_distinct_seeds(codes, k, seed)
+            assert np.unique(codes[:, seeds], axis=1).shape[1] == min(k, 10)
+            centroids = codes[:, seeds].copy()
             assigned = assign_step(codes, centroids)
             for _ in range(100):
                 centroids = centroid_step(codes, assigned, k)
@@ -266,10 +279,12 @@ def test_labels_extraction():
 
 def test_kmeans_matches_one_hot_reference(rng):
     # u >= k: labels and centroids bit-identical to the one-hot formulation,
-    # including 3-bit codes whose seed draws often need redrawing, and
-    # u == k (all 8 3-bit codes for k=8), which keeps the redraw loop
-    for l, n, k in ((3, 40, 5), (3, 40, 8), (6, 60, 4), (16, 80, 7)):
-        codes = random_codes(rng, l, n)
+    # including 3-bit codes with many repeats, u == k (all 8 3-bit codes for
+    # k=8) and one code on all but 9 samples
+    cases = [(random_codes(rng, l, n), k)
+             for l, n, k in ((3, 40, 5), (3, 40, 8), (6, 60, 4), (16, 80, 7))]
+    cases.append((skewed_codes(rng), 8))
+    for codes, k in cases:
         assert np.unique(codes, axis=1).shape[1] >= k
         for seed in range(6):
             model = binary_kmeans(codes, k, seed=seed)
@@ -307,25 +322,38 @@ def test_kmeans_fewer_distinct_codes_than_k(rng, monkeypatch):
         best.labels, binary_kmeans_restarts(codes, 5, restarts=1, seed=3).labels)
 
 
-def test_kmeans_counts_distinct_codes_only_after_a_failed_draw(rng, monkeypatch):
+def test_kmeans_dedupes_once_and_never_redraws(rng, monkeypatch):
     calls = []
-    first_occurrences = hamming_kmeans._first_occurrences
+    distinct_codes = hamming_kmeans._distinct_codes
 
     def counted(codes):
         calls.append(1)
-        return first_occurrences(codes)
+        return distinct_codes(codes)
 
-    monkeypatch.setattr(hamming_kmeans, "_first_occurrences", counted)
-    binary_kmeans(np.unique(random_codes(rng, 12, 30), axis=1), 5, seed=0)
-    assert calls == []  # every column distinct: the first draw is
-    codes = np.repeat(random_codes(rng, 12, 6), 5, axis=1)
-    for seed in range(5):
-        calls.clear()
-        binary_kmeans(codes, 5, seed=seed)
-        assert len(calls) <= 1
-    calls.clear()
-    binary_kmeans(codes, 6, seed=0)  # u = k: redraws, counted once
-    assert calls == [1]
+    used = []
+    default_rng = np.random.default_rng
+
+    class Recording:
+        """A Generator that records the name of every method used."""
+
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            used.append(name)
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(hamming_kmeans, "_distinct_codes", counted)
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    repeated = np.repeat(random_codes(rng, 12, 6), 5, axis=1)  # u = 6
+    cases = [(np.unique(random_codes(rng, 12, 30), axis=1), 5),
+             (skewed_codes(rng), 8), (repeated, 5), (repeated, 6), (repeated, 9)]
+    for codes, k in cases:
+        for seed in range(3):
+            calls.clear()
+            binary_kmeans(codes, k, seed=seed)
+            assert calls == [1]
+    assert used and "choice" not in used
 
 
 @pytest.mark.parametrize("value", [0.0, 0.5, -2.0, np.nan])

@@ -174,6 +174,14 @@ def test_kernelize_rejects_nonpositive_delta(rng):
             kernelize(view, anchors, delta=bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernelize_rejects_non_finite_delta(rng, bad):
+    view = rng.standard_normal((2, 3))
+    anchors = sample_anchors(view, 1, seed=0)
+    with pytest.raises(NonPositiveBandwidth):
+        kernelize(view, anchors, delta=bad)
+
+
 def test_graph_entries_in_unit_interval_and_monotone(rng):
     view = rng.standard_normal((4, 20))
     anchors = sample_anchors(view, 5, seed=6)

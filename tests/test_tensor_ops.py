@@ -375,6 +375,22 @@ def test_matrix_svt_rejects_negative_tau(rng):
         matrix_svt(rng.standard_normal((3, 3)), -0.1)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: tensor_svt(t, NAN),
+    lambda t: matrix_svt(t[:, :, 0], NAN),
+    lambda t: enhanced_tensor_svt(t, NAN, 0.3, 1.0),
+    lambda t: enhanced_tensor_svt(t, 1.0, NAN, 1.0),
+    lambda t: enhanced_tensor_svt(t, 1.0, 0.3, NAN),
+    lambda t: enhanced_tensor_nuclear_norm(t, NAN),
+], ids=["tensor_svt", "matrix_svt", "etsvt_mu", "etsvt_zeta", "etsvt_lam", "etnn"])
+def test_operators_reject_nan_parameters(rng, call):
+    with pytest.raises(ValueError):
+        call(rng.standard_normal((4, 3, 3)))
+
+
 def test_matrix_svt_beats_random_perturbations():
     rng = np.random.default_rng(19)
     m = rng.standard_normal((5, 4))
