@@ -56,20 +56,20 @@ _positive_float = _at_least(float, 0, strict=True)
 _nonnegative_float = _at_least(float, 0)
 
 
-def _int_list(text):
-    """Comma-separated integers, each under the _positive_int rule."""
-    try:
-        return [_positive_int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(parse, what):
+    """argparse type: a comma-separated list, each entry under ``parse``;
+    an empty list is rejected with "no {what} given"."""
 
+    def parse_list(text):
+        try:
+            values = [parse(tok) for tok in text.split(",") if tok]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError(f"no {what} given")
+        return values
 
-def _alpha_list(text):
-    """Comma-separated --alphas grid, each entry under the --alpha rule."""
-    try:
-        return [_nonnegative_float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return parse_list
 
 
 def _output_path(text):
@@ -90,23 +90,21 @@ def _write_report(report, path):
 
 
 def _write_trace(history, path):
+    # each column's header and how a record fills it
+    columns = (
+        ("iter", lambda rec: rec.iteration),
+        ("objective", lambda rec: f"{rec.objective:.17g}"),
+        ("res_qa", lambda rec: f"{rec.res_projection:.17g}"),
+        ("res_be", lambda rec: f"{rec.res_code:.17g}"),
+        ("mu", lambda rec: f"{rec.mu:.17g}"),
+        ("seconds", lambda rec: f"{rec.seconds:.6f}"),
+        ("bits_flipped", lambda rec: rec.bits_flipped),
+    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([
-            "iter", "objective", "res_qa", "res_be", "mu", "seconds",
-            "bits_flipped", "projection_residual",
-        ])
+        writer.writerow([name for name, _ in columns])
         for rec in history:
-            writer.writerow([
-                rec.iteration,
-                f"{rec.objective:.17g}",
-                f"{rec.res_projection:.17g}",
-                f"{rec.res_code:.17g}",
-                f"{rec.mu:.17g}",
-                f"{rec.seconds:.6f}",
-                rec.bits_flipped,
-                f"{rec.projection_residual:.17g}",
-            ])
+            writer.writerow([cell(rec) for _, cell in columns])
 
 
 def _pipeline(dataset, anchors, bits, alpha, zeta, k, seed, max_iter, tol,
@@ -254,8 +252,6 @@ def cmd_sweep(args, parser):
 
 def cmd_bench(args, parser):
     dims = _view_dims(args, parser)
-    if not args.sizes:
-        parser.error("--sizes: no sample counts given")
     if args.anchors > min(args.sizes):
         parser.error(f"--anchors: {args.anchors} exceeds the smallest --sizes "
                      f"entry, {min(args.sizes)} samples")
@@ -321,7 +317,7 @@ def _add_pipeline_flags(sub):
                      help="second-stage shrinkage weight")
     sub.add_argument("--k", type=_positive_int, default=None,
                      help="cluster count (default: number of distinct labels)")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_at_least(int, 0), default=0)
     sub.add_argument("--max-iter", type=_positive_int, default=100)
     sub.add_argument("--tol", type=_positive_float, default=1e-6)
     sub.add_argument("--no-standardize", action="store_true",
@@ -341,10 +337,10 @@ def build_parser():
     synth.add_argument("--k", type=_positive_int, required=True)
     synth.add_argument("--views", type=_positive_int, default=2)
     synth.add_argument("--n", type=_positive_int, required=True)
-    synth.add_argument("--dims", type=_int_list, default=None,
+    synth.add_argument("--dims", type=_list_of(_positive_int, "feature dims"), default=None,
                        help="per-view feature dims, e.g. 10,10")
     synth.add_argument("--sep", type=_nonnegative_float, default=8.0)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_at_least(int, 0), default=0)
     synth.add_argument("--out", type=_output_path, required=True)
     synth.add_argument("--force", action="store_true")
     synth.set_defaults(func=cmd_synth)
@@ -352,7 +348,7 @@ def build_parser():
     noise = subs.add_parser("noise", help="salt-and-pepper corrupt a dataset")
     noise.add_argument("dataset")
     noise.add_argument("--ratio", type=_ratio, required=True)
-    noise.add_argument("--seed", type=int, default=0)
+    noise.add_argument("--seed", type=_at_least(int, 0), default=0)
     noise.add_argument("--out", type=_output_path, required=True)
     noise.add_argument("--force", action="store_true")
     noise.set_defaults(func=cmd_noise)
@@ -373,18 +369,18 @@ def build_parser():
     sweep = subs.add_parser("sweep", help="repeat cluster over an alpha grid")
     sweep.add_argument("dataset")
     _add_pipeline_flags(sweep)
-    sweep.add_argument("--alphas", type=_alpha_list, default=None,
+    sweep.add_argument("--alphas", type=_list_of(_nonnegative_float, "alphas"), default=None,
                        help="comma-separated grid (default 1e-8..1e2 decades)")
     sweep.add_argument("--out", type=_output_path, required=True,
                        help="aggregated CSV path")
     sweep.set_defaults(func=cmd_sweep)
 
     bench = subs.add_parser("bench", help="time the solver across sample counts")
-    bench.add_argument("--sizes", type=_int_list, required=True,
+    bench.add_argument("--sizes", type=_list_of(_positive_int, "sample counts"), required=True,
                        help="comma-separated sample counts")
     bench.add_argument("--k", type=_positive_int, default=4)
     bench.add_argument("--views", type=_positive_int, default=2)
-    bench.add_argument("--dims", type=_int_list, default=None)
+    bench.add_argument("--dims", type=_list_of(_positive_int, "feature dims"), default=None)
     bench.add_argument("--sep", type=_nonnegative_float, default=8.0)
     bench.add_argument("--anchors", type=_positive_int, default=500)
     bench.add_argument("--bits", type=_positive_int, default=32)
@@ -394,7 +390,7 @@ def build_parser():
                        help="fixed iteration cap applied at every size")
     bench.add_argument("--tol", type=_positive_float, default=1e-12,
                        help="kept tiny so every size runs the full cap")
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_at_least(int, 0), default=0)
     bench.add_argument("--out", type=_output_path, default=None)
     bench.set_defaults(func=cmd_bench)
 

@@ -21,8 +21,7 @@ No product is formed twice from the same operands: the objective takes
 its fit from the code step's Q' phi, and phi B' (for the projection step)
 and the enhanced TNN of B (for the objective) are kept for as long as no
 code bit flips. Nothing is formed that only a trace reads: the objective
-and the projection step's normal-equation residual are computed only when
-:func:`solve` is asked for them (``trace=True``).
+is computed only when :func:`solve` is asked for it (``trace=True``).
 
 Every block is one view-major array with view p at ``x[p]``: graphs are
 v x m x n, projections (and A, Y) v x m x bits, codes (and E, J)
@@ -89,8 +88,6 @@ class IterationRecord:
     res_code: float        # ||B - E||_F
     mu: float
     seconds: float
-    # relative normal-equation residual of the Q step; None unless traced
-    projection_residual: float | None
     bits_flipped: int      # code entries the B step changed
 
 
@@ -151,9 +148,9 @@ def init_state(graphs, config):
 
 
 def gram_factors(graphs):
-    """The triple ``(gram, values, basis)`` of a graph stack phi: the Gram
-    matrices phi phi' and their eigendecompositions
-    ``gram[p] = basis[p] @ diag(values[p]) @ basis[p].T``.
+    """The pair ``(values, basis)`` of a graph stack phi: the
+    eigendecompositions ``phi[p] @ phi[p].T = basis[p] @ diag(values[p])
+    @ basis[p].T`` of its Gram matrices, which are not kept.
 
     The factors serve every projection step from the first on, so a
     non-finite Gram matrix is reported as :class:`NonFinite` at
@@ -164,24 +161,20 @@ def gram_factors(graphs):
     if not finite.all():
         view = int(np.argmin(finite)) + 1
         raise NonFinite(f"non-finite Gram matrix of view {view}", iteration=1)
-    values, basis = np.linalg.eigh(gram)
-    return gram, values, basis
+    return np.linalg.eigh(gram)
 
 
-def update_projections(state, graph_codes, config, factors, residual=True):
+def update_projections(state, graph_codes, config, factors):
     """Exact minimizer of each view's projection subproblem.
 
     Solves (2*alpha*phi phi' + mu I) Q = 2*alpha*phi B' + mu A - Y per
     view through the eigendecomposition of phi phi' (``factors``, from
     :func:`gram_factors`); the system is positive definite for any mu > 0.
     ``graph_codes`` is phi B' for the current codes, which :func:`solve`
-    forms only when they have changed. Returns the new projections and,
-    with ``residual``, the largest relative residual of these normal
-    equations over the views, taken against the Gram matrix itself (one
-    more GEMM per view); without it, None.
+    forms only when they have changed. Returns the new projections.
     """
     mu = state.mu
-    gram, values, basis = factors
+    values, basis = factors
     # an alpha large enough to overflow leaves inf/NaN in the result, which
     # the finite check after the code step reports as NonFinite
     with np.errstate(all="ignore"):
@@ -191,13 +184,7 @@ def update_projections(state, graph_codes, config, factors, residual=True):
             - state.dual_projection
         )
         scale = 2.0 * config.alpha * values + mu
-        updated = basis @ ((basis.mT @ rhs) / scale[:, :, None])
-        if not residual:
-            return updated, None
-        lhs = 2.0 * config.alpha * (gram @ updated) + mu * updated
-        denom = np.linalg.norm(rhs, axis=(1, 2))
-        res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / np.where(denom > 0, denom, 1.0)
-    return updated, float(res.max())
+        return basis @ ((basis.mT @ rhs) / scale[:, :, None])
 
 
 def update_codes(state, graphs, config):
@@ -299,9 +286,9 @@ def solve(graphs, config, trace=False):
     after config.max_iter iterations; ``HashCodes.stop_reason`` records
     which ("tolerance" or "max_iter"). Returns the hash codes and the
     per-iteration history. Only with ``trace`` does each record carry the
-    objective and the projection step's normal-equation residual, which
-    nothing in the loop reads; otherwise both are None and neither is
-    computed. The codes and every other field are the same either way.
+    objective, which nothing in the loop reads; otherwise it is None and
+    is not computed. The codes and every other field are the same either
+    way.
     """
     graphs = _graph_stack(graphs)
     state = init_state(graphs, config)
@@ -318,9 +305,7 @@ def solve(graphs, config, trace=False):
         mu_used = state.mu
         if graph_codes is None:
             graph_codes = graphs @ state.codes.mT
-        state.projections, q_res = update_projections(
-            state, graph_codes, config, factors, trace,
-        )
+        state.projections = update_projections(state, graph_codes, config, factors)
         new_codes, projected = update_codes(state, graphs, config)
         flipped = int(np.count_nonzero(new_codes != state.codes))
         if flipped:
@@ -353,7 +338,6 @@ def solve(graphs, config, trace=False):
             res_code=res_b,
             mu=mu_used,
             seconds=time.perf_counter() - t0,
-            projection_residual=q_res,
             bits_flipped=flipped,
         ))
         if max(res_q / q_size, res_b / b_size) < config.tol:

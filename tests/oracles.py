@@ -169,6 +169,26 @@ def q_subproblem_objective(q, phi, b, a, y, alpha, mu):
         + 0.5 * mu * np.linalg.norm(q - a + y / mu) ** 2
 
 
+def projection_residual(graphs, state, config, q):
+    """Largest relative residual over the views of the projection step's
+    normal equations (2*alpha*phi phi' + mu I) Q = 2*alpha*phi B' + mu A - Y,
+    with each view's system matrix assembled explicitly from phi."""
+    alpha, mu = config.alpha, state.mu
+    worst = 0.0
+    for p, phi in enumerate(graphs):
+        phi = np.asarray(phi, dtype=float)
+        system = 2.0 * alpha * (phi @ phi.T) + mu * np.eye(phi.shape[0])
+        rhs = (
+            2.0 * alpha * (phi @ state.codes[p].T)
+            + mu * state.aux_projection[p]
+            - state.dual_projection[p]
+        )
+        denom = np.linalg.norm(rhs)
+        residual = np.linalg.norm(system @ q[p] - rhs) / (denom if denom > 0 else 1.0)
+        worst = max(worst, float(residual))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Hamming-space clustering
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from tenhash.cli import main
+from tenhash.cli import build_parser, main
 from tenhash.data import load_multiview
 
 PROTOCOL = [
@@ -97,6 +98,22 @@ def test_sweep_bad_alphas_entry_is_usage_error(alphas, capsys):
     assert "argument --alphas: must be" in capsys.readouterr().err
 
 
+def test_negative_seed_is_usage_error_for_every_subcommand(capsys):
+    # every subcommand that takes --seed, so a new one cannot miss the rule
+    parser = build_parser()
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    seeded = [
+        name for name, sub in subs.choices.items()
+        if "--seed" in sub._option_string_actions
+    ]
+    assert {"synth", "noise", "cluster", "sweep", "bench"} <= set(seeded)
+    for name in seeded:
+        # rejected while parsing, before any required argument is missed
+        assert run_cli(name, "--seed", "-1") == 2, name
+        err = capsys.readouterr().err
+        assert "argument --seed: must be finite and >= 0, got -1" in err, name
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     (["synth", "--k", "2", "--n", "10"], "--dims", "0,4", "argument --dims: must be"),
     (["synth", "--k", "2", "--n", "10"], "--dims", "4", "--dims: 1 entries for 2 views"),
@@ -106,6 +123,9 @@ def test_sweep_bad_alphas_entry_is_usage_error(alphas, capsys):
     (["bench"], "--sizes", "0", "argument --sizes: must be"),
     (["bench"], "--sizes", "300,-5", "argument --sizes: must be"),
     (["bench"], "--sizes", ",", "--sizes: no sample counts given"),
+    (["synth", "--k", "2", "--n", "10"], "--dims", ",", "argument --dims: no feature dims given"),
+    (["bench", "--sizes", "100"], "--dims", ",", "argument --dims: no feature dims given"),
+    (["sweep", "ds"], "--alphas", ",", "argument --alphas: no alphas given"),
 ])
 def test_bad_integer_list_is_usage_error(command, flag, value, message, tmp_path, capsys):
     # rejected before anything is generated or written
@@ -176,7 +196,7 @@ def test_cluster_synthetic_four_clusters(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [c for c in rows[0]] == [
         "iter", "objective", "res_qa", "res_be", "mu", "seconds",
-        "bits_flipped", "projection_residual",
+        "bits_flipped",
     ]
     assert len(rows) == report["iterations"]
     assert float(rows[-1]["res_qa"]) <= float(rows[0]["res_qa"]) / 10

@@ -95,7 +95,7 @@ def test_projection_update_alpha_zero(rng):
     state = init_state(graphs, config)
     state.aux_projection = rng.standard_normal(state.aux_projection.shape)
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
-    projections, _ = update_projections(
+    projections = update_projections(
         state, graphs @ state.codes.mT, config, gram_factors(graphs),
     )
     got = projections[0]
@@ -110,7 +110,7 @@ def test_projection_update_large_mu_limit(rng):
     state.mu = 1e9
     state.aux_projection = rng.standard_normal(state.aux_projection.shape)
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
-    projections, _ = update_projections(
+    projections = update_projections(
         state, graphs @ state.codes.mT, config, gram_factors(graphs),
     )
     got = projections[0]
@@ -126,7 +126,7 @@ def test_projection_update_beats_perturbations():
     state.mu = 0.5
     state.aux_projection = rng.standard_normal((1, 4, 2))
     state.dual_projection = rng.standard_normal((1, 4, 2))
-    projections, _ = update_projections(
+    projections = update_projections(
         state, graphs @ state.codes.mT, config, gram_factors(graphs),
     )
     q = projections[0]
@@ -154,7 +154,7 @@ def test_factored_projection_update_matches_assembled_solve(rng):
         state.mu = mu
         state.aux_projection = rng.standard_normal(state.aux_projection.shape)
         state.dual_projection = rng.standard_normal(state.dual_projection.shape)
-        got, _ = update_projections(state, graphs @ state.codes.mT, config, factors)
+        got = update_projections(state, graphs @ state.codes.mT, config, factors)
         for p, g in enumerate(graphs):
             lhs = 2.0 * config.alpha * (g @ g.T) + mu * np.eye(g.shape[0])
             rhs = (
@@ -170,10 +170,10 @@ def test_projection_normal_equation_residual(rng):
     graphs = make_graphs(rng, v=3, m=6, n=9)
     config = make_config(bits=4)
     state = init_state(graphs, config)
-    _, residual = update_projections(
+    q = update_projections(
         state, graphs @ state.codes.mT, config, gram_factors(graphs),
     )
-    assert residual <= 1e-8
+    assert oracles.projection_residual(graphs, state, config, q) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +462,9 @@ def test_solve_list_and_stack_inputs_bit_identical(rng):
     assert np.array_equal(codes_a.fused, codes_b.fused)
     assert codes_a.stop_reason == codes_b.stop_reason
     assert [
-        (r.objective, r.res_projection, r.res_code, r.mu, r.projection_residual)
-        for r in hist_a
+        (r.objective, r.res_projection, r.res_code, r.mu) for r in hist_a
     ] == [
-        (r.objective, r.res_projection, r.res_code, r.mu, r.projection_residual)
-        for r in hist_b
+        (r.objective, r.res_projection, r.res_code, r.mu) for r in hist_b
     ]
 
 
@@ -491,7 +489,7 @@ def test_solve_codes_binary_every_iteration(rng):
     state = init_state(graphs, config)
     factors = gram_factors(graphs)
     for _ in range(12):
-        state.projections, _ = update_projections(
+        state.projections = update_projections(
             state, graphs @ state.codes.mT, config, factors,
         )
         state.codes, _ = update_codes(state, graphs, config)
@@ -504,11 +502,21 @@ def test_solve_codes_binary_every_iteration(rng):
             assert np.all(np.isin(b, (-1.0, 1.0)))
 
 
-def test_solve_q_residual_small_every_iteration(rng):
+def test_solve_q_residual_small_every_iteration(rng, monkeypatch):
     graphs = make_graphs(rng, v=2, m=6, n=14)
     config = make_config(alpha=0.4, bits=4, max_iter=60)
-    _, history = solve(graphs, config, trace=True)
-    assert all(rec.projection_residual <= 1e-8 for rec in history)
+    scores = []
+    step = solver.update_projections
+
+    def scored_step(state, *args):
+        q = step(state, *args)
+        scores.append(oracles.projection_residual(graphs, state, config, q))
+        return q
+
+    monkeypatch.setattr(solver, "update_projections", scored_step)
+    _, history = solve(graphs, config)
+    assert len(scores) == len(history)
+    assert max(scores) <= 1e-8
 
 
 def test_solve_final_residual_below_first(rng):
@@ -558,7 +566,7 @@ def recomputing_solve(graphs, config):
     stop_reason = "max_iter"
     for it in range(1, config.max_iter + 1):
         mu_used = state.mu
-        state.projections, q_res = update_projections(
+        state.projections = update_projections(
             state, graphs @ state.codes.mT, config, factors,
         )
         codes, _ = update_codes(state, graphs, config)
@@ -572,7 +580,7 @@ def recomputing_solve(graphs, config):
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
             state, config
         )
-        history.append((it, obj, res_q, res_b, mu_used, q_res, flipped))
+        history.append((it, obj, res_q, res_b, mu_used, flipped))
         if max(res_q / q_size, res_b / b_size) < config.tol:
             stop_reason = "tolerance"
             break
@@ -604,8 +612,7 @@ def test_solve_reuse_is_exact_and_happens(monkeypatch):
     assert np.array_equal(codes.per_view, want_codes)
     assert codes.stop_reason == want_stop
     assert [
-        (r.iteration, r.objective, r.res_projection, r.res_code, r.mu,
-         r.projection_residual, r.bits_flipped)
+        (r.iteration, r.objective, r.res_projection, r.res_code, r.mu, r.bits_flipped)
         for r in history
     ] == want_history
     flips = [r.bits_flipped for r in history]
@@ -649,11 +656,8 @@ def test_untraced_solve_matches_traced_without_trace_only_work(v, monkeypatch):
         (r.iteration, r.res_projection, r.res_code, r.mu, r.bits_flipped)
         for r in want_history
     ]
-    assert all(r.objective is None and r.projection_residual is None for r in history)
-    assert all(
-        r.objective is not None and r.projection_residual is not None
-        for r in want_history
-    )
+    assert all(r.objective is None for r in history)
+    assert all(r.objective is not None for r in want_history)
     assert calls == {
         "objective_value": 0,
         "enhanced_tensor_nuclear_norm": 0,
