@@ -20,7 +20,6 @@ from .hamming_kmeans import (
     binary_kmeans_restarts,
     centroid_step,
     hamming_distance,
-    labels,
 )
 from .kernel import (
     AnchorSet,
@@ -47,8 +46,6 @@ from .tensor_ops import (
     extract_core_matrix,
     fold_core_matrix,
     matrix_svt,
-    mode3_dft,
-    mode3_idft,
     t_product,
     t_svd,
     t_transpose,

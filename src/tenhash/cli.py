@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as datamod
 from .exceptions import TenhashError
-from .hamming_kmeans import binary_kmeans_restarts, labels as model_labels
+from .hamming_kmeans import binary_kmeans_restarts
 from .kernel import kernelize_views
 from .metrics import all_metrics
 from .solver import SolverConfig, solve
@@ -121,7 +121,7 @@ def _pipeline(dataset, anchors, bits, alpha, zeta, k, seed, max_iter, tol,
     codes, history = solve(graphs, config, trace=trace)
     t2 = time.perf_counter()
     model = binary_kmeans_restarts(codes.fused, k, restarts=restarts, seed=seed)
-    pred = model_labels(model)
+    pred = model.labels
     t3 = time.perf_counter()
     times = {
         "time_kernelize": t1 - t0,

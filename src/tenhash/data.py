@@ -109,6 +109,11 @@ def load_multiview(path):
     for entry in entries:
         match = _VIEW_RE.match(entry)
         if match:
+            if match.group(1).startswith("0"):
+                raise MissingView(
+                    f"{path}: {entry} is misnumbered (views must be numbered "
+                    f"1, 2, ... without leading zeros)", path=path,
+                )
             numbered[int(match.group(1))] = entry
     if not numbered:
         raise MissingView(f"{path}: no view_<p>.csv files found", path=path)

@@ -14,9 +14,9 @@ class DimensionMismatch(TenhashError, ValueError):
 
 
 class ConjugateSymmetryViolation(TenhashError, ValueError):
-    """A spectral stack claimed to come from a real tensor is not
-    conjugate-symmetric; the inverse transform has a non-trivial
-    imaginary part."""
+    """A core matrix to fold is not conjugate-symmetric across its
+    columns, so the folded tensor would have a non-trivial imaginary
+    part."""
 
 
 class SvdNonConvergence(TenhashError, RuntimeError):
@@ -81,7 +81,8 @@ class DatasetFormatError(TenhashError, ValueError):
 
 
 class MissingView(DatasetFormatError):
-    """Dataset directory contains no view files (or a gap in numbering)."""
+    """Dataset directory contains no view files, a gap in their numbering,
+    or a view numbered 0 or with a leading zero."""
 
 
 class RaggedRows(DatasetFormatError):

@@ -17,7 +17,8 @@ MAX_ITER = 100  # assignment/centroid rounds per k-means run
 
 @dataclass
 class ClusterModel:
-    """Binary centroids (l x k sign matrix) and integer labels (n,)."""
+    """Binary centroids (l x k sign matrix) and integer labels (n,):
+    label i is the cluster of sample i."""
 
     centroids: np.ndarray
     labels: np.ndarray
@@ -154,8 +155,3 @@ def binary_kmeans_restarts(codes, k, restarts=8, seed=0):
         if best_err == 0:
             break
     return best
-
-
-def labels(model):
-    """Label vector: label i is the cluster of sample i."""
-    return model.labels

@@ -150,7 +150,8 @@ def kernelize_views(views, m, seed, standardize=True):
     """Kernelize every view of a dataset with anchors aligned by sample.
 
     Returns the v x m x n stack of bipartite graphs, view p's graph being
-    ``graphs[p]``. Each view's distance matrix is computed once, in its own
+    ``graphs[p]``. The anchor indices are drawn once and taken from every
+    view. Each view's distance matrix is computed once, in its own
     slot of the stack, and turned into the graph in place with its mean as
     the bandwidth. Views holding NaN or Inf are rejected with
     NonFiniteInput, views with different sample counts with
@@ -164,10 +165,14 @@ def kernelize_views(views, m, seed, standardize=True):
         raise InconsistentSampleCounts(f"views disagree on sample count: {counts}")
     n = counts[0] if counts else 0
     _check_anchor_count(m, n)
+    # the draw depends only on (n, m, seed), so one serves every view
+    indices = sample_anchors(views[0], m, seed).indices
     graphs = np.empty((len(views), m, n))
     for view, graph in zip(views, graphs):
         prepared = standardize_features(view) if standardize else view
-        anchors = sample_anchors(prepared, m, seed)
-        _squared_distances(prepared, anchors.anchors, anchors.indices, out=graph)
+        # take() gives C-contiguous anchors, as sample_anchors does; the
+        # layout sets how the distance GEMM rounds
+        anchors = prepared.take(indices, axis=1)
+        _squared_distances(prepared, anchors, indices, out=graph)
         _rbf(graph, _bandwidth(graph))
     return graphs

@@ -237,15 +237,13 @@ def _primal_gaps(state):
     return state.projections - state.aux_projection, state.codes - state.aux_code
 
 
-def update_multipliers(state, config, gaps=None):
+def update_multipliers(state, gaps):
     """Gradient step on both multipliers, Y + mu (Q - A) and J + mu (B - E),
     then grow the shared penalty: mu <- min(RHO * mu, MU_MAX).
 
-    ``gaps`` is the pair (Q - A, B - E) when the caller has formed it
-    already; the step then writes the new multipliers into those arrays.
+    ``gaps`` is the pair (Q - A, B - E) from :func:`_primal_gaps`; the new
+    multipliers are written into those arrays and returned with the new mu.
     """
-    if gaps is None:
-        gaps = _primal_gaps(state)
     for gap, dual in zip(gaps, (state.dual_projection, state.dual_code)):
         gap *= state.mu
         gap += dual
@@ -329,7 +327,7 @@ def solve(graphs, config, trace=False):
         gaps = _primal_gaps(state)
         res_q, res_b = (float(np.linalg.norm(gap)) for gap in gaps)
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
-            state, config, gaps
+            state, gaps
         )
         history.append(IterationRecord(
             iteration=it,

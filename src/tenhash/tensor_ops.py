@@ -17,8 +17,8 @@ For d3 <= 2 every independent slice is real and the matrices hold only
 0, +-1 and +-1/2, so the spectrum is exactly the slice (d3 = 1) or the sum
 and the difference of the two slices (d3 = 2) and the factorizations run
 in real arithmetic. For d3 >= 3 the stack is complex and agrees with an
-FFT to rounding level. Only :func:`mode3_dft` and :func:`mode3_idft`, the
-full complex transforms, call ``numpy.fft``.
+FFT to rounding level. No FFT runs anywhere: a caller who wants the full
+complex spectrum of a tensor calls ``numpy.fft.fft(t, axis=2)``.
 
 Slice singular values come from one factorization, the eigendecomposition
 of the Gram matrix of the slices' short side (BLAS-3 work linear in the
@@ -42,8 +42,8 @@ from .exceptions import (
 # relative cutoff below which t_svd and matrix_svt singular values are zero
 RANK_TOL = 1e-12
 
-# imaginary residue above this fraction of the result norm means the
-# spectral stack was not conjugate-symmetric
+# antisymmetric part above this fraction of its norm means a core matrix
+# would not fold into a real tensor
 IMAG_TOL = 1e-8
 
 
@@ -198,40 +198,6 @@ def _factor(stack, vectors=True):
         return out.mT if tall else out
 
     return s, rebuild
-
-
-def mode3_dft(t):
-    """Unnormalized forward DFT along the third mode.
-
-    Returns a complex d1 x d2 x d3 stack; slice j holds
-    sum_k t[:, :, k] * exp(-2*pi*i*j*k/d3).
-    """
-    t = _as_tensor3(t)
-    return np.fft.fft(t, axis=2)
-
-
-def mode3_idft(s):
-    """Inverse of :func:`mode3_dft` (1/d3 normalization).
-
-    The stack must be conjugate-symmetric along mode 3, i.e. come from a
-    real tensor; the imaginary residue is truncated when negligible.
-
-    Raises
-    ------
-    ConjugateSymmetryViolation
-        If the imaginary residue exceeds IMAG_TOL of the result norm.
-    """
-    s = np.asarray(s, dtype=complex)
-    if s.ndim != 3 or s.size == 0:
-        raise DimensionMismatch(f"spectral stack must be 3-D, got shape {s.shape}")
-    out = np.fft.ifft(s, axis=2)
-    imag = np.linalg.norm(out.imag)
-    total = np.linalg.norm(out)
-    if imag > IMAG_TOL * total:
-        raise ConjugateSymmetryViolation(
-            f"imaginary residue {imag:.3e} exceeds {IMAG_TOL:g} of norm {total:.3e}"
-        )
-    return np.ascontiguousarray(out.real)
 
 
 def t_transpose(t):

@@ -19,15 +19,15 @@ from conftest import random_tensor_corpus
 from tenhash import solver
 from tenhash.cli import _write_trace, build_parser, main
 from tenhash.data import MultiViewData, gen_gaussian_clusters, salt_pepper
-from tenhash.hamming_kmeans import binary_kmeans_restarts, labels
+from tenhash.hamming_kmeans import binary_kmeans_restarts
 from tenhash.kernel import kernelize_views
 from tenhash.metrics import accuracy, all_metrics, ari, f_score, nmi, purity
 from tenhash.solver import SolverConfig, init_state, solve, update_codes
 from tenhash.tensor_ops import (
+    _from_spectrum,
+    _spectrum,
     enhanced_tensor_svt,
     matrix_svt,
-    mode3_dft,
-    mode3_idft,
     t_product,
     t_svd,
     t_transpose,
@@ -69,7 +69,7 @@ def synthetic_run():
         patch.setattr(solver, "update_projections", scored_step)
         codes, history = solve(graphs, config, trace=True)
     model = binary_kmeans_restarts(codes.fused, 4, restarts=8, seed=0)
-    scores = all_metrics(labels(model), data.labels)
+    scores = all_metrics(model.labels, data.labels)
     elapsed = time.perf_counter() - t0
     return {
         "data": data,
@@ -91,14 +91,16 @@ def run_noisy_variant(base_run):
     graphs = kernelize_views(noisy.views, 100, seed=0, standardize=False)
     codes, _ = solve(graphs, base_run["config"])
     model = binary_kmeans_restarts(codes.fused, 4, restarts=8, seed=0)
-    return all_metrics(labels(model), noisy.labels)
+    return all_metrics(model.labels, noisy.labels)
 
 
 def test_criterion_1_tensor_algebra_oracles():
     t0 = time.perf_counter()
     worst_recon = worst_tnn = worst_svt = worst_round = 0.0
     for i, t in enumerate(random_tensor_corpus(100, dmax=8, seed=7)):
-        worst_round = max(worst_round, rel_err(mode3_idft(mode3_dft(t)), t))
+        worst_round = max(
+            worst_round, rel_err(_from_spectrum(_spectrum(t), t.shape[2]), t)
+        )
         factors = t_svd(t)
         recon = t_product(factors.U, t_product(factors.S, t_transpose(factors.V)))
         worst_recon = max(worst_recon, rel_err(recon, t))

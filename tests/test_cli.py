@@ -175,6 +175,14 @@ def test_malformed_meta_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and "meta.json" in err
 
 
+def test_misnumbered_view_is_runtime_error(tmp_path, capsys):
+    (tmp_path / "view_0.csv").write_text("1,2,3\n4,5,6\n")
+    assert run_cli("cluster", str(tmp_path), "--k", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "view_0.csv" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # cluster
 

@@ -78,6 +78,21 @@ def test_load_missing_views(tmp_path):
     assert "view_2" in str(info.value)
 
 
+@pytest.mark.parametrize("names", [
+    ["view_0.csv"],
+    ["view_0.csv", "view_1.csv"],
+    ["view_01.csv", "view_1.csv"],
+    ["view_1.csv", "view_002.csv"],
+])
+def test_load_rejects_misnumbered_views(names, tmp_path):
+    for name in names:
+        (tmp_path / name).write_text("1,2,3\n")
+    with pytest.raises(MissingView) as info:
+        load_multiview(tmp_path)
+    bad = next(name for name in names if name != "view_1.csv")
+    assert bad in str(info.value)
+
+
 def test_load_label_length_mismatch(tmp_path):
     (tmp_path / "view_1.csv").write_text("1,2,3\n")
     (tmp_path / "labels.csv").write_text("0\n1\n")

@@ -13,7 +13,6 @@ from tenhash.hamming_kmeans import (
     binary_kmeans_restarts,
     centroid_step,
     hamming_distance,
-    labels,
     quantization_error,
     sign_pm1,
 )
@@ -167,7 +166,7 @@ def test_kmeans_k1_majority():
     model = binary_kmeans(codes, 1, seed=0)
     want = sign_pm1(codes.sum(axis=1))
     assert np.array_equal(model.centroids[:, 0], want)
-    assert np.all(labels(model) == 0)
+    assert np.all(model.labels == 0)
 
 
 def test_kmeans_k_equals_n_distinct():
@@ -176,14 +175,14 @@ def test_kmeans_k_equals_n_distinct():
     n = codes.shape[1]
     model = binary_kmeans(codes, n, seed=1)
     assert quantization_error(codes, model) == 0.0
-    assert len(set(labels(model).tolist())) == n
+    assert len(set(model.labels.tolist())) == n
 
 
 def test_kmeans_two_well_separated_groups():
     l, n = 8, 20
     codes = np.hstack([np.ones((l, n // 2)), -np.ones((l, n // 2))])
     model = binary_kmeans(codes, 2, seed=5)
-    got = labels(model)
+    got = model.labels
     assert len(set(got[: n // 2].tolist())) == 1
     assert len(set(got[n // 2:].tolist())) == 1
     assert got[0] != got[-1]
@@ -274,7 +273,7 @@ def test_kmeans_restarts_no_worse_than_single(rng):
 
 def test_labels_extraction():
     model = ClusterModel(centroids=np.ones((2, 3)), labels=np.array([2, 0, 1, 2]))
-    assert labels(model).tolist() == [2, 0, 1, 2]
+    assert model.labels.tolist() == [2, 0, 1, 2]
 
 
 def test_kmeans_matches_one_hot_reference(rng):

@@ -123,6 +123,28 @@ def test_kernelize_views_matches_explicit_difference_oracle():
         assert np.allclose(g, w, rtol=0, atol=1e-12)
 
 
+def test_kernelize_views_draws_anchors_once(rng, monkeypatch):
+    views = [rng.standard_normal((d, 80)) for d in (20, 2, 7)]
+    # each view kernelized against its own draw, as a per-view loop would;
+    # at these sizes the anchors' memory layout moves the graphs by rounding
+    want = []
+    for view in views:
+        prepared = standardize_features(view)
+        anchors = sample_anchors(prepared, 10, seed=3)
+        graph = kernel._squared_distances(prepared, anchors.anchors, anchors.indices)
+        want.append(kernel._rbf(graph, kernel._bandwidth(graph)))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sample_anchors(*args)
+
+    monkeypatch.setattr(kernel, "sample_anchors", counting)
+    got = kernelize_views(views, 10, seed=3)
+    assert len(calls) == 1
+    assert np.array_equal(got, np.stack(want))
+
+
 def test_kernelize_views_rejects_unequal_sample_counts(rng):
     with pytest.raises(InconsistentSampleCounts):
         kernelize_views([rng.standard_normal((3, 10)), rng.standard_normal((3, 9))], 4, seed=0)

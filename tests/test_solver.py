@@ -10,6 +10,7 @@ from tenhash.solver import (
     MU0,
     HashCodes,
     SolverConfig,
+    _primal_gaps,
     fuse_codes,
     gram_factors,
     init_state,
@@ -324,7 +325,7 @@ def test_multipliers_no_gap_doubles_mu(rng):
     graphs = make_graphs(rng)
     config = make_config()
     state = init_state(graphs, config)  # aux tensors equal the stacks
-    dual_q, dual_b, mu = update_multipliers(state, config)
+    dual_q, dual_b, mu = update_multipliers(state, _primal_gaps(state))
     assert np.array_equal(dual_q, state.dual_projection)
     assert np.array_equal(dual_b, state.dual_code)
     assert mu == 2 * MU0
@@ -335,7 +336,7 @@ def test_multipliers_cap(rng):
     config = make_config()
     state = init_state(graphs, config)
     state.mu = 1e10
-    _, _, mu = update_multipliers(state, config)
+    _, _, mu = update_multipliers(state, _primal_gaps(state))
     assert mu == 1e10
 
 
@@ -347,7 +348,7 @@ def test_multipliers_match_hand_rolled(rng):
     state.aux_code = rng.standard_normal(state.aux_code.shape)
     state.dual_projection = rng.standard_normal(state.dual_projection.shape)
     state.dual_code = rng.standard_normal(state.dual_code.shape)
-    dual_q, dual_b, _ = update_multipliers(state, config)
+    dual_q, dual_b, _ = update_multipliers(state, _primal_gaps(state))
     want_q = state.dual_projection + state.mu * (
         state.projections - state.aux_projection
     )
@@ -496,7 +497,7 @@ def test_solve_codes_binary_every_iteration(rng):
         state.aux_projection = update_aux_projection(state, config)
         state.aux_code = update_aux_code(state, config)
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
-            state, config
+            state, _primal_gaps(state)
         )
         for b in state.codes:
             assert np.all(np.isin(b, (-1.0, 1.0)))
@@ -578,7 +579,7 @@ def recomputing_solve(graphs, config):
         res_b = float(np.linalg.norm(state.codes - state.aux_code))
         obj, _ = objective_value(state, state.projections.mT @ graphs, config)
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
-            state, config
+            state, _primal_gaps(state)
         )
         history.append((it, obj, res_q, res_b, mu_used, flipped))
         if max(res_q / q_size, res_b / b_size) < config.tol:

@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,8 +22,6 @@ from tenhash.tensor_ops import (
     extract_core_matrix,
     fold_core_matrix,
     matrix_svt,
-    mode3_dft,
-    mode3_idft,
     t_product,
     t_svd,
     t_transpose,
@@ -76,42 +78,6 @@ def gram_branch_inputs(seed):
 
 # ---------------------------------------------------------------------------
 # mode-3 transforms
-
-
-def test_dft_depth_one_is_identity(rng):
-    t = rng.standard_normal((3, 2, 1))
-    s = mode3_dft(t)
-    assert np.allclose(s.real, t[:, :, :])
-    assert np.allclose(s.imag, 0.0)
-
-
-def test_dft_of_zero_is_zero():
-    assert np.allclose(mode3_dft(np.zeros((3, 3, 4))), 0.0)
-
-
-def test_dft_matches_naive_oracle():
-    t = np.random.default_rng(11).standard_normal((4, 4, 3))
-    assert rel_err(mode3_dft(t), oracles.naive_dft_mode3(t)) <= 1e-12
-
-
-def test_idft_round_trip():
-    t = np.random.default_rng(12).standard_normal((5, 3, 4))
-    assert rel_err(mode3_idft(mode3_dft(t)), t) <= 1e-12
-
-
-def test_idft_of_zero_stack():
-    assert np.allclose(mode3_idft(np.zeros((2, 2, 3), dtype=complex)), 0.0)
-
-
-def test_idft_depth_one_identity(rng):
-    t = rng.standard_normal((4, 2, 1))
-    assert np.allclose(mode3_idft(t.astype(complex)), t)
-
-
-def test_idft_rejects_asymmetric_stack(rng):
-    bad = rng.standard_normal((3, 3, 4)) + 1j * rng.standard_normal((3, 3, 4))
-    with pytest.raises(ConjugateSymmetryViolation):
-        mode3_idft(bad)
 
 
 def test_spectrum_is_real_for_depth_up_to_two(rng):
@@ -176,7 +142,41 @@ def test_depth_two_spectrum_is_exact_sum_and_difference(rng):
 
 def test_round_trip_over_corpus():
     for t in random_tensor_corpus(100):
-        assert rel_err(mode3_idft(mode3_dft(t)), t) <= 1e-12
+        assert rel_err(_from_spectrum(_spectrum(t), t.shape[2]), t) <= 1e-12
+
+
+NO_FFT_SCRIPT = """
+import sys
+import numpy as np
+from tenhash import tensor_ops as ops
+from tenhash.solver import SolverConfig, solve
+
+t = np.random.default_rng(0).standard_normal((4, 3, 3))
+factors = ops.t_svd(t)
+ops.t_product(t, ops.t_transpose(t))
+ops.tensor_nuclear_norm(t)
+ops.enhanced_tensor_nuclear_norm(t, 0.5)
+cm = ops.extract_core_matrix(factors)
+ops.fold_core_matrix(cm, 4, 3, 3)
+ops.matrix_svt(t[:, :, 0], 0.1)
+ops.tensor_svt(t, 0.1)
+ops.enhanced_tensor_svt(t, 1.0, 0.1, 0.1)
+graphs = np.random.default_rng(1).random((3, 5, 12))
+solve(graphs, SolverConfig(alpha=0.5, bits=3, zeta=0.1, max_iter=3, seed=0), trace=True)
+print("numpy.fft" in sys.modules)
+"""
+
+
+def test_tensor_operators_and_solve_load_no_numpy_fft():
+    # numpy loads numpy.fft on first use: the spectral path must not use it
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", NO_FFT_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert loaded == "False"
 
 
 # ---------------------------------------------------------------------------
