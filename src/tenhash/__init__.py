@@ -36,6 +36,7 @@ from .solver import (
     SolverConfig,
     SolverState,
     fuse_codes,
+    gram_factors,
     init_state,
     solve,
 )

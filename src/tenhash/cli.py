@@ -10,10 +10,12 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .exceptions import TenhashError
 from .hamming_kmeans import binary_kmeans_restarts
 from .kernel import kernelize_views
 from .metrics import all_metrics
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, gram_factors, solve
 
 DEFAULT_ALPHA = 1e-3
 DEFAULT_BITS = 64
@@ -80,13 +82,26 @@ def _output_path(text):
     return text
 
 
+def _output(path):
+    """The file at ``path`` opened for writing, or stdout (left open when
+    the block ends) if ``path`` is None."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
+
+
 def _write_report(report, path):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(path) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(header, rows, path):
+    """One CSV of dict ``rows`` under ``header``, a missing cell left
+    empty, to ``path`` or stdout."""
+    with _output(path) as fh:
+        writer = csv.DictWriter(fh, fieldnames=header, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _write_trace(history, path):
@@ -100,35 +115,48 @@ def _write_trace(history, path):
         ("seconds", lambda rec: f"{rec.seconds:.6f}"),
         ("bits_flipped", lambda rec: rec.bits_flipped),
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in columns])
-        for rec in history:
-            writer.writerow([cell(rec) for _, cell in columns])
+    rows = ({name: cell(rec) for name, cell in columns} for rec in history)
+    _write_csv([name for name, _ in columns], rows, path)
+
+
+def _solver_config(args, alpha):
+    """The solver settings the flags of ``cluster``, ``sweep`` or ``bench``
+    give, at trade-off weight ``alpha``."""
+    return SolverConfig(alpha=alpha, bits=args.bits, zeta=args.zeta,
+                        max_iter=args.max_iter, tol=args.tol, seed=args.seed)
+
+
+def _prepare(views, anchors, seed, standardize):
+    """The part of a run that no solver setting changes: the anchor graphs
+    of the views and their Gram factors, as the pair ``(graphs, factors)``
+    that :func:`_fit` takes."""
+    graphs = kernelize_views(views, anchors, seed, standardize=standardize)
+    return graphs, gram_factors(graphs)
+
+
+def _fit(prepared, config, k, restarts, trace=False):
+    """solve -> Hamming k-means on a prepared dataset; returns the hash
+    codes, the solver history (with the objective when ``trace``), the
+    predicted labels and the wall times of both phases."""
+    t0 = time.perf_counter()
+    codes, history = solve(*prepared, config, trace=trace)
+    t1 = time.perf_counter()
+    model = binary_kmeans_restarts(codes.fused, k, restarts=restarts, seed=config.seed)
+    t2 = time.perf_counter()
+    return codes, history, model.labels, {"time_solve": t1 - t0, "time_cluster": t2 - t1}
 
 
 def _pipeline(dataset, anchors, bits, alpha, zeta, k, seed, max_iter, tol,
               standardize, restarts=8, trace=False):
-    """kernelize -> solve -> Hamming k-means; returns the hash codes, the
-    solver history (with the trace-only fields when ``trace``), the
-    predicted labels and the per-phase wall times."""
+    """kernelize -> solve -> Hamming k-means, the run of ``cluster``;
+    returns what :func:`_fit` does, with ``time_kernelize`` (the graphs
+    and their Gram factors) added to the times."""
     t0 = time.perf_counter()
-    graphs = kernelize_views(dataset.views, anchors, seed, standardize=standardize)
-    t1 = time.perf_counter()
-    config = SolverConfig(
-        alpha=alpha, bits=bits, zeta=zeta, max_iter=max_iter, tol=tol, seed=seed,
-    )
-    codes, history = solve(graphs, config, trace=trace)
-    t2 = time.perf_counter()
-    model = binary_kmeans_restarts(codes.fused, k, restarts=restarts, seed=seed)
-    pred = model.labels
-    t3 = time.perf_counter()
-    times = {
-        "time_kernelize": t1 - t0,
-        "time_solve": t2 - t1,
-        "time_cluster": t3 - t2,
-    }
-    return codes, history, pred, times
+    prepared = _prepare(dataset.views, anchors, seed, standardize)
+    time_kernelize = time.perf_counter() - t0
+    config = SolverConfig(alpha=alpha, bits=bits, zeta=zeta, max_iter=max_iter, tol=tol, seed=seed)
+    codes, history, pred, times = _fit(prepared, config, k, restarts, trace)
+    return codes, history, pred, {"time_kernelize": time_kernelize, **times}
 
 
 def _resolve_anchors_k(args, dataset, parser):
@@ -219,34 +247,21 @@ def cmd_sweep(args, parser):
     dataset = datamod.load_multiview(args.dataset)
     anchors, k = _resolve_anchors_k(args, dataset, parser)
     alphas = args.alphas if args.alphas is not None else [10.0 ** e for e in range(-8, 3)]
+    # a failure here fails every alpha alike: it ends the command
+    prepared = _prepare(dataset.views, anchors, args.seed, not args.no_standardize)
     rows = []
     failures = 0
     for alpha in alphas:
         try:
-            _, history, pred, _ = _pipeline(
-                dataset, anchors, args.bits, alpha, args.zeta, k, args.seed,
-                args.max_iter, args.tol, not args.no_standardize, args.restarts,
-            )
-            scores = (
-                all_metrics(pred, dataset.labels)
-                if dataset.labels is not None else {}
-            )
-            rows.append({
-                "alpha": alpha,
-                **scores,
-                "iterations": len(history),
-                "error": "",
-            })
+            _, history, pred, _ = _fit(prepared, _solver_config(args, alpha), k, args.restarts)
+            scores = all_metrics(pred, dataset.labels) if dataset.labels is not None else {}
+            rows.append({"alpha": alpha, **scores, "iterations": len(history), "error": ""})
         except (TenhashError, ValueError, OSError) as exc:
             failures += 1
             rows.append({"alpha": alpha, "iterations": 0, "error": str(exc)})
             print(f"alpha={alpha:g} failed: {exc}", file=sys.stderr)
     fields = ["alpha", "acc", "nmi", "purity", "fscore", "ari", "iterations", "error"]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    _write_csv(fields, rows, args.out)
     return 1 if failures else 0
 
 
@@ -260,23 +275,18 @@ def cmd_bench(args, parser):
         k=args.k, v=args.views, n=max(10 * args.k, 200), dims=dims,
         sep=args.sep, seed=args.seed,
     )
-    solve(
-        kernelize_views(warm.views, min(args.anchors, warm.n), args.seed),
-        SolverConfig(alpha=args.alpha, bits=args.bits, zeta=args.zeta,
-                     max_iter=2, tol=args.tol, seed=args.seed),
-    )
+    config = _solver_config(args, args.alpha)
+    solve(*_prepare(warm.views, min(args.anchors, warm.n), args.seed, True),
+          replace(config, max_iter=2))
     rows = []
     for n in args.sizes:
         dataset = datamod.gen_gaussian_clusters(
             k=args.k, v=args.views, n=n, dims=dims, sep=args.sep, seed=args.seed,
         )
         graphs = kernelize_views(dataset.views, args.anchors, args.seed)
-        config = SolverConfig(
-            alpha=args.alpha, bits=args.bits, zeta=args.zeta,
-            max_iter=args.max_iter, tol=args.tol, seed=args.seed,
-        )
+        # timed with the Gram factors, which a single solve of these graphs needs
         t0 = time.perf_counter()
-        _, history = solve(graphs, config)
+        _, history = solve(graphs, gram_factors(graphs), config)
         seconds = time.perf_counter() - t0
         iters = len(history)
         per_iter = sum(rec.seconds for rec in history) / iters if iters else 0.0
@@ -286,15 +296,7 @@ def cmd_bench(args, parser):
             "iterations": iters,
             "sec_per_iter": f"{per_iter:.6f}",
         })
-    out = open(args.out, "w", newline="") if args.out is not None else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=["n", "seconds", "iterations", "sec_per_iter"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if args.out is not None:
-            out.close()
+    _write_csv(["n", "seconds", "iterations", "sec_per_iter"], rows, args.out)
     return 0
 
 

@@ -98,7 +98,8 @@ class ParseError(DatasetFormatError):
 
 
 class NonFiniteInput(TenhashError, ValueError):
-    """An input view holds a NaN or Inf; carries its 1-based position."""
+    """An input view holds a NaN or Inf, or a feature whose spread
+    overflows; carries its 1-based position (sample None for a spread)."""
 
     def __init__(self, message, view=None, feature=None, sample=None):
         super().__init__(message)

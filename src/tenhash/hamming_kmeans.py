@@ -106,9 +106,7 @@ def binary_kmeans(codes, k, seed=0):
     codes the walk is the sample order instead, and the u codes it meets
     are followed by samples 0..k-u-1 (where the empty-cluster reseed puts
     the other clusters), so each sample's label is its code's rank in that
-    order, at error 0. For u >= k this rule replaced redrawing k-sample
-    draws until their codes were distinct, so seeds and labels differ from
-    earlier releases.
+    order, at error 0.
     """
     codes = np.asarray(codes, dtype=float)
     _check_sign_codes(codes)

@@ -62,8 +62,10 @@ def _squared_distances(view, anchors, indices=None, out=None):
     each anchor's source column, that entry is set to exactly 0 wherever
     the column still equals the anchor, so a sample coincident with its own
     anchor gets graph value exactly 1. Other exact duplicates of an anchor
-    get a rounding-level distance instead.
+    get a rounding-level distance instead. The anchors are taken in C
+    order, so the result depends on their values, not their memory layout.
     """
+    anchors = np.ascontiguousarray(anchors)
     centre = anchors.mean(axis=1, keepdims=True)
     x = view - centre
     s = anchors - centre
@@ -89,9 +91,11 @@ def _anchor_matrix(anchors):
 
 
 def _bandwidth(sqdist):
-    """Mean of a squared-distance matrix, or 1.0 if every entry is 0."""
-    delta = sqdist.mean()
-    return float(delta) if delta > 0 else 1.0
+    """Mean of a squared-distance matrix, or 1.0 if every entry is 0. The
+    mean is inf or NaN, and returned as it is, when the distances
+    overflowed."""
+    delta = float(sqdist.mean())
+    return delta if delta != 0 else 1.0
 
 
 def _rbf(sqdist, delta):
@@ -104,7 +108,8 @@ def estimate_bandwidth(view, anchors):
     """Kernel width heuristic: mean squared sample-anchor distance.
 
     Falls back to 1.0 in the degenerate case where every sample equals
-    every anchor, so the result is always strictly positive.
+    every anchor, so the result is strictly positive; it is inf or NaN
+    when the squared distances overflow, which :func:`kernelize` rejects.
     """
     view = np.asarray(view, dtype=float)
     anchor_mat, indices = _anchor_matrix(anchors)
@@ -138,10 +143,17 @@ def _check_finite_views(views):
 
 
 def standardize_features(view):
-    """Per-feature z-scoring; constant features are centered only."""
+    """Per-feature z-scoring; constant features are centered only. A
+    feature whose mean or spread overflows raises NonFiniteInput naming
+    the feature (numbered from 1)."""
     view = np.asarray(view, dtype=float)
-    mean = view.mean(axis=1, keepdims=True)
-    std = view.std(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = view.mean(axis=1, keepdims=True)
+        std = view.std(axis=1, keepdims=True)
+    finite = np.isfinite(std[:, 0])
+    if not finite.all():
+        feature = int(np.argmin(finite)) + 1
+        raise NonFiniteInput(f"feature {feature}: its spread overflows", feature=feature)
     std[std == 0] = 1.0
     return (view - mean) / std
 
@@ -157,6 +169,10 @@ def kernelize_views(views, m, seed, standardize=True):
     NonFiniteInput, views with different sample counts with
     InconsistentSampleCounts, and an anchor count m < 1 with ValueError or
     m > n with AnchorCountExceedsSamples, before the stack is allocated.
+    Finite values too large for the arithmetic are rejected naming the
+    view: a feature whose spread overflows in standardization with
+    NonFiniteInput, and squared distances that overflow the bandwidth with
+    NonPositiveBandwidth.
     """
     views = [np.asarray(view, dtype=float) for view in views]
     _check_finite_views(views)
@@ -168,11 +184,16 @@ def kernelize_views(views, m, seed, standardize=True):
     # the draw depends only on (n, m, seed), so one serves every view
     indices = sample_anchors(views[0], m, seed).indices
     graphs = np.empty((len(views), m, n))
-    for view, graph in zip(views, graphs):
-        prepared = standardize_features(view) if standardize else view
-        # take() gives C-contiguous anchors, as sample_anchors does; the
-        # layout sets how the distance GEMM rounds
-        anchors = prepared.take(indices, axis=1)
-        _squared_distances(prepared, anchors, indices, out=graph)
-        _rbf(graph, _bandwidth(graph))
+    for p, (view, graph) in enumerate(zip(views, graphs), start=1):
+        try:
+            prepared = standardize_features(view) if standardize else view
+        except NonFiniteInput as exc:
+            raise NonFiniteInput(f"view {p}: {exc}", view=p, feature=exc.feature) from None
+        # an overflow leaves an inf or NaN bandwidth, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            _squared_distances(prepared, prepared.take(indices, axis=1), indices, out=graph)
+        delta = _bandwidth(graph)
+        if not delta < np.inf:  # NaN too
+            raise NonPositiveBandwidth(f"view {p}: kernel width is {delta}: distances overflow")
+        _rbf(graph, delta)
     return graphs

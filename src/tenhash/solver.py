@@ -14,8 +14,10 @@ projection, a closed-form sign step for every code matrix, the two-stage
 shrinkage for both auxiliary tensors, then a gradient step on the
 multipliers with a geometrically growing penalty: mu starts at MU0 and
 is multiplied by RHO every iteration up to MU_MAX. The projection systems
-share one matrix per view up to the penalty, so each view's Gram matrix is
-eigendecomposed once per solve and every linear solve is two GEMMs.
+share one matrix per view up to the penalty, and that matrix depends only
+on the graphs: each view's Gram matrix is eigendecomposed once per graph
+stack (:func:`gram_factors`), the factors are passed to every
+:func:`solve` on that stack, and every linear solve is two GEMMs.
 
 No product is formed twice from the same operands: the objective takes
 its fit from the code step's Q' phi, and phi B' (for the projection step)
@@ -148,14 +150,17 @@ def init_state(graphs, config):
 
 
 def gram_factors(graphs):
-    """The pair ``(values, basis)`` of a graph stack phi: the
+    """The pair ``(values, basis)`` of a graph stack phi (a list or stack of
+    m x n graphs, checked as :func:`solve` checks it): the
     eigendecompositions ``phi[p] @ phi[p].T = basis[p] @ diag(values[p])
-    @ basis[p].T`` of its Gram matrices, which are not kept.
+    @ basis[p].T`` of its Gram matrices, which are not kept. ``values`` is
+    v x m and ``basis`` v x m x m.
 
     The factors serve every projection step from the first on, so a
     non-finite Gram matrix is reported as :class:`NonFinite` at
     iteration 1, before ``eigh`` fails on it.
     """
+    graphs = _graph_stack(graphs)
     gram = graphs @ graphs.mT
     finite = np.isfinite(gram).all(axis=(1, 2))
     if not finite.all():
@@ -276,8 +281,12 @@ def _check_finite(state, iteration, names):
             )
 
 
-def solve(graphs, config, trace=False):
+def solve(graphs, factors, config, trace=False):
     """Run the full alternating loop and fuse the learned codes.
+
+    ``factors`` is ``gram_factors(graphs)``. It does not depend on the
+    config, so one serves every solve on the same graphs; factors whose
+    (views, anchors) shape does not fit the graphs raise ShapeMismatch.
 
     Stops when the larger of the two primal residuals, each normalized by
     the square root of its element count, drops below config.tol, or
@@ -289,8 +298,10 @@ def solve(graphs, config, trace=False):
     way.
     """
     graphs = _graph_stack(graphs)
+    if np.shape(factors[0]) != graphs.shape[:2]:
+        raise ShapeMismatch(f"Gram factors of (views, anchors) {np.shape(factors[0])} "
+                            f"do not fit graphs of {graphs.shape[:2]}")
     state = init_state(graphs, config)
-    factors = gram_factors(graphs)
     q_size = np.sqrt(state.aux_projection.size)
     b_size = np.sqrt(state.aux_code.size)
     history = []

@@ -22,7 +22,7 @@ from tenhash.data import MultiViewData, gen_gaussian_clusters, salt_pepper
 from tenhash.hamming_kmeans import binary_kmeans_restarts
 from tenhash.kernel import kernelize_views
 from tenhash.metrics import accuracy, all_metrics, ari, f_score, nmi, purity
-from tenhash.solver import SolverConfig, init_state, solve, update_codes
+from tenhash.solver import SolverConfig, gram_factors, init_state, solve, update_codes
 from tenhash.tensor_ops import (
     _from_spectrum,
     _spectrum,
@@ -67,7 +67,7 @@ def synthetic_run():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "update_projections", scored_step)
-        codes, history = solve(graphs, config, trace=True)
+        codes, history = solve(graphs, gram_factors(graphs), config, trace=True)
     model = binary_kmeans_restarts(codes.fused, 4, restarts=8, seed=0)
     scores = all_metrics(model.labels, data.labels)
     elapsed = time.perf_counter() - t0
@@ -89,7 +89,7 @@ def run_noisy_variant(base_run):
         name="noisy",
     )
     graphs = kernelize_views(noisy.views, 100, seed=0, standardize=False)
-    codes, _ = solve(graphs, base_run["config"])
+    codes, _ = solve(graphs, gram_factors(graphs), base_run["config"])
     model = binary_kmeans_restarts(codes.fused, 4, restarts=8, seed=0)
     return all_metrics(model.labels, noisy.labels)
 

@@ -1,13 +1,15 @@
 import argparse
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
+from tenhash import cli
 from tenhash.cli import build_parser, main
-from tenhash.data import load_multiview
+from tenhash.data import MultiViewData, load_multiview, save_multiview
 
 PROTOCOL = [
     "--anchors", "100", "--bits", "16", "--alpha", "0.01", "--zeta", "0.3",
@@ -173,6 +175,25 @@ def test_malformed_meta_exit_code(tmp_path, capsys):
     assert run_cli("cluster", str(ds), "--k", "2") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "meta.json" in err
+
+
+def overflow_dataset(path):
+    """A labelled dataset of three 3 x 40 views whose view 1 holds one entry
+    of 1e200: finite, but its square overflows."""
+    views = [np.random.default_rng(p).standard_normal((3, 40)) for p in range(3)]
+    views[0][1, 5] = 1e200
+    save_multiview(MultiViewData(views=views, labels=np.arange(40) % 2, name="overflow"), path)
+    return path
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-standardize"]])
+def test_overflowing_view_is_runtime_error_naming_view(flags, tmp_path, capsys):
+    ds = overflow_dataset(tmp_path / "ds")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("cluster", str(ds), "--anchors", "10", *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: view 1: ") and err.count("\n") == 1
 
 
 def test_misnumbered_view_is_runtime_error(tmp_path, capsys):
@@ -362,6 +383,33 @@ def test_sweep_default_grid_row_count(tmp_path):
     assert [f"{float(r['alpha']):.0e}" for r in rows] == [
         f"{10.0 ** e:.0e}" for e in range(-8, 3)
     ]
+
+
+def test_sweep_kernelizes_and_factors_once(tmp_path, monkeypatch):
+    ds = synth_dataset(tmp_path / "ds", n=60)
+    calls = {"kernelize_views": 0, "gram_factors": 0}
+    for name in calls:
+        def counting(*args, _name=name, _step=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", str(ds), "--anchors", "30", "--bits", "8",
+                   "--alphas", "0.001,0.01,0.1", "--out", str(out)) == 0
+    assert calls == {"kernelize_views": 1, "gram_factors": 1}
+    with open(out) as fh:
+        assert [r["error"] for r in csv.DictReader(fh)] == ["", "", ""]
+
+
+def test_sweep_failed_preparation_writes_no_csv(tmp_path, capsys):
+    ds = overflow_dataset(tmp_path / "ds")
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", str(ds), "--anchors", "10", "--alphas", "0.01,0.1",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: view 1: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sweep_single_alpha_matches_cluster(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,8 +127,7 @@ def test_kernelize_views_matches_explicit_difference_oracle():
 
 def test_kernelize_views_draws_anchors_once(rng, monkeypatch):
     views = [rng.standard_normal((d, 80)) for d in (20, 2, 7)]
-    # each view kernelized against its own draw, as a per-view loop would;
-    # at these sizes the anchors' memory layout moves the graphs by rounding
+    # each view kernelized against its own draw, as a per-view loop would
     want = []
     for view in views:
         prepared = standardize_features(view)
@@ -174,6 +175,43 @@ def test_kernelize_views_rejects_non_finite_naming_position(rng, monkeypatch, va
     assert isinstance(info.value, TenhashError)
     assert "view 2: feature 3, sample 8" in str(info.value)
     assert (info.value.view, info.value.feature, info.value.sample) == (2, 3, 8)
+
+
+def overflow_views(rng):
+    """Three 3 x 40 views, view 1 holding one entry of 1e200 in its
+    feature 2: finite, but its square overflows."""
+    views = [rng.standard_normal((3, 40)) for _ in range(3)]
+    views[0][1, 5] = 1e200
+    return views
+
+
+def test_overflowing_spread_rejected_naming_view_and_feature(rng):
+    views = overflow_views(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="^feature 2: ") as info:
+            standardize_features(views[0])
+        assert (info.value.view, info.value.feature) == (None, 2)
+        with pytest.raises(NonFiniteInput, match="^view 1: feature 2: ") as info:
+            kernelize_views(views, 10, seed=0)
+        assert (info.value.view, info.value.feature) == (1, 2)
+
+
+def test_overflowing_distances_rejected_naming_view(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveBandwidth, match="^view 1: kernel width is inf"):
+            kernelize_views(overflow_views(rng), 10, seed=0, standardize=False)
+
+
+def test_graph_depends_on_anchor_values_not_layout(rng):
+    view = rng.standard_normal((7, 300))
+    fancy = view[:, rng.choice(300, 40, replace=False)]
+    c_order = np.ascontiguousarray(fancy)
+    assert fancy.flags.f_contiguous and not fancy.flags.c_contiguous
+    want = kernelize(view, c_order, delta=2.0)
+    for anchors in (np.asfortranarray(c_order), fancy):
+        assert np.array_equal(kernelize(view, anchors, delta=2.0), want)
 
 
 def test_kernelize_scalar_example():

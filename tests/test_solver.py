@@ -78,12 +78,28 @@ def test_init_rejects_mismatched_n(rng):
         init_state([rng.random((3, 5)), rng.random((3, 6))], make_config())
 
 
-@pytest.mark.parametrize("entry", [init_state, solve])
+# each entry point on a graph list, with factors for 2 views of 3 anchors
+# where it takes them
+ENTRIES = {
+    "init_state": lambda graphs: init_state(graphs, make_config()),
+    "solve": lambda graphs: solve(graphs, gram_factors(np.ones((2, 3, 5))), make_config()),
+    "gram_factors": gram_factors,
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
 def test_graph_lists_checked_before_stacking(rng, entry):
     with pytest.raises(ShapeMismatch):
-        entry([rng.random((3, 5)), rng.random((4, 5))], make_config())
+        ENTRIES[entry]([rng.random((3, 5)), rng.random((4, 5))])
     with pytest.raises(InconsistentSampleCounts):
-        entry([], make_config())
+        ENTRIES[entry]([])
+
+
+@pytest.mark.parametrize("v, m", [(3, 4), (2, 5), (1, 4)])
+def test_solve_rejects_factors_of_other_graphs(rng, v, m):
+    graphs = make_graphs(rng, v=2, m=4)
+    with pytest.raises(ShapeMismatch, match=r"\(2, 4\)"):
+        solve(graphs, gram_factors(make_graphs(rng, v=v, m=m)), make_config())
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +441,7 @@ def test_fuse_shape_mismatch():
 def test_solve_zero_iterations(rng):
     graphs = make_graphs(rng)
     config = make_config(max_iter=0)
-    codes, history = solve(graphs, config)
+    codes, history = solve(graphs, gram_factors(graphs), config)
     state = init_state(graphs, config)
     for got, want in zip(codes.per_view, state.codes):
         assert np.array_equal(got, want)
@@ -446,7 +462,7 @@ def test_solve_two_cluster_synthetic_converges():
         sq = ((pts[:, None, :] - anchors[:, :, None]) ** 2).sum(axis=0)
         graphs.append(np.exp(-sq / sq.mean()))
     config = make_config(alpha=0.1, bits=8, max_iter=100)
-    codes, history = solve(graphs, config)
+    codes, history = solve(graphs, gram_factors(graphs), config)
     q_norm = np.sqrt(10 * 8 * 2)
     b_norm = np.sqrt(8 * n * 2)
     final = history[-1]
@@ -457,8 +473,9 @@ def test_solve_two_cluster_synthetic_converges():
 def test_solve_list_and_stack_inputs_bit_identical(rng):
     graphs = [rng.random((6, 15)) for _ in range(3)]
     config = make_config(alpha=0.2, bits=4, max_iter=20)
-    codes_a, hist_a = solve(graphs, config, trace=True)
-    codes_b, hist_b = solve(np.stack(graphs), config, trace=True)
+    codes_a, hist_a = solve(graphs, gram_factors(graphs), config, trace=True)
+    stack = np.stack(graphs)
+    codes_b, hist_b = solve(stack, gram_factors(stack), config, trace=True)
     assert np.array_equal(codes_a.per_view, codes_b.per_view)
     assert np.array_equal(codes_a.fused, codes_b.fused)
     assert codes_a.stop_reason == codes_b.stop_reason
@@ -472,8 +489,8 @@ def test_solve_list_and_stack_inputs_bit_identical(rng):
 def test_solve_deterministic(rng):
     graphs = make_graphs(rng, v=2, m=6, n=15)
     config = make_config(alpha=0.2, bits=4)
-    codes_a, hist_a = solve(graphs, config, trace=True)
-    codes_b, hist_b = solve(graphs, config, trace=True)
+    codes_a, hist_a = solve(graphs, gram_factors(graphs), config, trace=True)
+    codes_b, hist_b = solve(graphs, gram_factors(graphs), config, trace=True)
     assert np.array_equal(codes_a.fused, codes_b.fused)
     for x, y in zip(codes_a.per_view, codes_b.per_view):
         assert np.array_equal(x, y)
@@ -515,7 +532,7 @@ def test_solve_q_residual_small_every_iteration(rng, monkeypatch):
         return q
 
     monkeypatch.setattr(solver, "update_projections", scored_step)
-    _, history = solve(graphs, config)
+    _, history = solve(graphs, gram_factors(graphs), config)
     assert len(scores) == len(history)
     assert max(scores) <= 1e-8
 
@@ -523,7 +540,7 @@ def test_solve_q_residual_small_every_iteration(rng, monkeypatch):
 def test_solve_final_residual_below_first(rng):
     graphs = make_graphs(rng, v=2, m=6, n=14)
     config = make_config(alpha=0.4, bits=4, max_iter=80)
-    _, history = solve(graphs, config)
+    _, history = solve(graphs, gram_factors(graphs), config)
     assert history[-1].res_projection < history[0].res_projection
     assert history[-1].res_code <= history[0].res_code
 
@@ -532,7 +549,7 @@ def test_solve_aborts_on_non_finite():
     graphs = [np.full((3, 5), np.nan)]
     config = make_config()
     with pytest.raises(NonFinite) as info:
-        solve(graphs, config)
+        solve(graphs, gram_factors(graphs), config)
     assert info.value.iteration == 1
 
 
@@ -541,7 +558,7 @@ def test_solve_aborts_on_overflow_in_projection_step(rng):
     graphs = make_graphs(rng)
     message = "non-finite value in projections at iteration 1"
     with np.errstate(all="ignore"), pytest.raises(NonFinite, match=message) as info:
-        solve(graphs, make_config(alpha=1e308))
+        solve(graphs, gram_factors(graphs), make_config(alpha=1e308))
     assert info.value.iteration == 1
 
 
@@ -551,7 +568,7 @@ def test_solve_overflow_in_projection_step_warns_nothing(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFinite, match=message) as info:
-            solve(graphs, make_config(alpha=1e308))
+            solve(graphs, gram_factors(graphs), make_config(alpha=1e308))
     assert info.value.iteration == 1
 
 
@@ -608,7 +625,7 @@ def test_solve_reuse_is_exact_and_happens(monkeypatch):
 
     monkeypatch.setattr(solver, "enhanced_tensor_nuclear_norm", counting_etnn)
     monkeypatch.setattr(solver, "update_projections", recording_step)
-    codes, history = solve(graphs, config, trace=True)
+    codes, history = solve(graphs, gram_factors(graphs), config, trace=True)
 
     assert np.array_equal(codes.per_view, want_codes)
     assert codes.stop_reason == want_stop
@@ -634,7 +651,7 @@ def test_solve_reuse_is_exact_and_happens(monkeypatch):
 def test_untraced_solve_matches_traced_without_trace_only_work(v, monkeypatch):
     graphs = np.random.default_rng(5).random((v, 6, 20))
     config = make_config(alpha=0.5, bits=3)
-    want_codes, want_history = solve(graphs, config, trace=True)
+    want_codes, want_history = solve(graphs, gram_factors(graphs), config, trace=True)
 
     calls = dict.fromkeys(
         ["objective_value", "enhanced_tensor_nuclear_norm", "update_multipliers"], 0)
@@ -644,7 +661,7 @@ def test_untraced_solve_matches_traced_without_trace_only_work(v, monkeypatch):
             return _step(*args)
 
         monkeypatch.setattr(solver, name, counting)
-    codes, history = solve(graphs, config)
+    codes, history = solve(graphs, gram_factors(graphs), config)
 
     assert np.array_equal(codes.per_view, want_codes.per_view)
     assert np.array_equal(codes.fused, want_codes.fused)
@@ -668,7 +685,7 @@ def test_untraced_solve_matches_traced_without_trace_only_work(v, monkeypatch):
 
 def test_solve_returns_hash_codes_type(rng):
     graphs = make_graphs(rng, v=3, m=4, n=8)
-    codes, _ = solve(graphs, make_config(max_iter=3))
+    codes, _ = solve(graphs, gram_factors(graphs), make_config(max_iter=3))
     assert isinstance(codes, HashCodes)
     assert codes.fused.shape == (3, 8)
     assert np.all(np.isin(codes.fused, (-1.0, 1.0)))

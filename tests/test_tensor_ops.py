@@ -149,7 +149,7 @@ NO_FFT_SCRIPT = """
 import sys
 import numpy as np
 from tenhash import tensor_ops as ops
-from tenhash.solver import SolverConfig, solve
+from tenhash.solver import SolverConfig, gram_factors, solve
 
 t = np.random.default_rng(0).standard_normal((4, 3, 3))
 factors = ops.t_svd(t)
@@ -162,7 +162,8 @@ ops.matrix_svt(t[:, :, 0], 0.1)
 ops.tensor_svt(t, 0.1)
 ops.enhanced_tensor_svt(t, 1.0, 0.1, 0.1)
 graphs = np.random.default_rng(1).random((3, 5, 12))
-solve(graphs, SolverConfig(alpha=0.5, bits=3, zeta=0.1, max_iter=3, seed=0), trace=True)
+solve(graphs, gram_factors(graphs),
+      SolverConfig(alpha=0.5, bits=3, zeta=0.1, max_iter=3, seed=0), trace=True)
 print("numpy.fft" in sys.modules)
 """
 
