@@ -22,7 +22,6 @@ from .hamming_kmeans import (
     hamming_distance,
 )
 from .kernel import (
-    AnchorSet,
     estimate_bandwidth,
     kernelize,
     kernelize_views,

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from tenhash import kernel
 from tenhash.data import gen_gaussian_clusters
 from tenhash.exceptions import (
     AnchorCountExceedsSamples,
+    DimensionMismatch,
     InconsistentSampleCounts,
     NonFiniteInput,
     NonPositiveBandwidth,
@@ -22,97 +24,94 @@ from tenhash.kernel import (
 )
 
 
-def test_sample_anchors_all_samples(rng):
-    view = rng.standard_normal((3, 8))
-    anchors = sample_anchors(view, 8, seed=3)
-    assert sorted(anchors.indices) == list(range(8))
+def distances_and_indices(view, m, seed):
+    """The squared distances of ``view`` to the m anchors sample_anchors
+    draws for it, and their sample indices."""
+    indices = sample_anchors(view.shape[1], m, seed)
+    return kernel._squared_distances(view, indices), indices
 
 
-def test_sample_anchors_single(rng):
-    view = rng.standard_normal((2, 5))
-    anchors = sample_anchors(view, 1, seed=4)
-    assert anchors.indices.shape == (1,)
-    assert 0 <= anchors.indices[0] < 5
+def test_sample_anchors_all_samples():
+    assert sorted(sample_anchors(8, 8, seed=3)) == list(range(8))
 
 
-def test_sample_anchors_matches_fisher_yates_oracle(rng):
-    view = rng.standard_normal((6, 100))
+def test_sample_anchors_single():
+    indices = sample_anchors(5, 1, seed=4)
+    assert indices.shape == (1,)
+    assert 0 <= indices[0] < 5
+
+
+def test_sample_anchors_matches_fisher_yates_oracle():
     for seed in (0, 1, 17, 255):
-        anchors = sample_anchors(view, 10, seed=seed)
         want = oracles.fisher_yates_sample(100, 10, seed)
-        assert sorted(anchors.indices.tolist()) == sorted(want)
+        assert sorted(sample_anchors(100, 10, seed=seed).tolist()) == sorted(want)
 
 
 def test_sample_anchors_aligned_across_views(rng):
-    a = sample_anchors(rng.standard_normal((3, 40)), 7, seed=9)
-    b = sample_anchors(rng.standard_normal((11, 40)), 7, seed=9)
-    assert np.array_equal(a.indices, b.indices)
+    views = [rng.standard_normal((d, 40)) for d in (3, 11)]
+    indices = sample_anchors(40, 7, seed=9)
+    # every view's graph is 1 at the same sample indices
+    for graph in kernelize_views(views, 7, seed=9):
+        assert np.all(graph[np.arange(7), indices] == 1.0)
 
 
-def test_sample_anchors_rejects_excess(rng):
-    with pytest.raises(AnchorCountExceedsSamples):
-        sample_anchors(rng.standard_normal((2, 4)), 5, seed=0)
-
-
-def test_sample_anchors_columns_copied(rng):
-    view = rng.standard_normal((2, 6))
-    anchors = sample_anchors(view, 3, seed=0)
-    assert np.array_equal(anchors.anchors, view[:, anchors.indices])
+def test_sample_anchors_rejects_excess():
+    with pytest.raises(AnchorCountExceedsSamples, match="asked for 5 anchors from 4 samples"):
+        sample_anchors(4, 5, seed=0)
+    with pytest.raises(ValueError, match="anchor count must be >= 1, got 0"):
+        sample_anchors(4, 0, seed=0)
 
 
 def test_bandwidth_degenerate_fallback():
-    view = np.ones((3, 4))
-    anchors = sample_anchors(view, 1, seed=0)
-    assert estimate_bandwidth(view, anchors) == 1.0
+    sqdist, _ = distances_and_indices(np.ones((3, 4)), 1, seed=0)
+    assert estimate_bandwidth(sqdist) == 1.0
 
 
 def test_bandwidth_tiny_example():
     view = np.array([[0.0, 2.0]])
-    assert estimate_bandwidth(view, np.array([[0.0]])) == pytest.approx(2.0)
+    assert estimate_bandwidth(kernel._squared_distances(view, np.array([0]))) == pytest.approx(2.0)
 
 
 def test_bandwidth_matches_double_loop_oracle(rng):
     view = rng.standard_normal((5, 30))
-    anchors = sample_anchors(view, 6, seed=1)
-    got = estimate_bandwidth(view, anchors)
-    want = oracles.double_loop_mean_sqdist(view, anchors.anchors)
-    assert got == pytest.approx(want, abs=1e-10)
+    sqdist, indices = distances_and_indices(view, 6, seed=1)
+    want = oracles.double_loop_mean_sqdist(view, view[:, indices])
+    assert estimate_bandwidth(sqdist) == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("entry, mean", [(np.inf, "inf"), (np.nan, "nan"), (1e308, "inf")])
+def test_bandwidth_rejects_overflowed_distances_without_warning(entry, mean):
+    # finite entries of 1e308 overflow the sum the mean takes
+    sqdist = np.array([[0.0, 1e308], [entry, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveBandwidth, match=f"^kernel width is {mean}: "):
+            estimate_bandwidth(sqdist)
 
 
 def test_kernelize_coincident_sample_is_exactly_one(rng):
-    view = rng.standard_normal((4, 9))
-    anchors = sample_anchors(view, 3, seed=2)
-    graph = kernelize(view, anchors, delta=1.7)
-    for j, idx in enumerate(anchors.indices):
+    sqdist, indices = distances_and_indices(rng.standard_normal((4, 9)), 3, seed=2)
+    graph = kernelize(sqdist, delta=1.7)
+    for j, idx in enumerate(indices):
         assert graph[j, idx] == 1.0
 
 
 def test_squared_distances_match_oracle_on_offset_data(rng):
     # far from the origin the uncentred GEMM form loses ~1e-5 to cancellation
     view = rng.standard_normal((5, 40)) + 1e6
-    anchors = sample_anchors(view, 7, seed=3)
-    got = kernel._squared_distances(view, anchors.anchors, anchors.indices)
-    want = oracles.double_loop_sqdist(view, anchors.anchors)
+    got, indices = distances_and_indices(view, 7, seed=3)
+    want = oracles.double_loop_sqdist(view, view[:, indices])
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_kernelize_duplicate_of_anchor_is_nearly_one(rng):
     view = rng.standard_normal((6, 10))
-    anchors = sample_anchors(view, 3, seed=4)
+    indices = sample_anchors(10, 3, seed=4)
     j = 1
-    other = next(i for i in range(10) if i not in anchors.indices)
-    view[:, other] = view[:, anchors.indices[j]]
-    graph = kernelize(view, anchors, delta=0.5)
+    other = next(i for i in range(10) if i not in indices)
+    view[:, other] = view[:, indices[j]]
+    graph = kernelize(kernel._squared_distances(view, indices), delta=0.5)
     assert graph[j, other] >= 1 - 1e-12
-
-
-def test_kernelize_view_narrower_than_anchor_indices(rng):
-    # an anchor set may be applied to other samples than it was drawn from
-    anchors = sample_anchors(rng.standard_normal((3, 20)), 4, seed=8)
-    view = rng.standard_normal((3, 5))
-    graph = kernelize(view, anchors, delta=2.0)
-    want = np.exp(-oracles.double_loop_sqdist(view, anchors.anchors) / 2.0)
-    assert np.allclose(graph, want, rtol=1e-12, atol=0)
 
 
 def test_kernelize_views_matches_explicit_difference_oracle():
@@ -130,25 +129,55 @@ def test_kernelize_views_draws_anchors_once(rng, monkeypatch):
     # each view kernelized against its own draw, as a per-view loop would
     want = []
     for view in views:
-        prepared = standardize_features(view)
-        anchors = sample_anchors(prepared, 10, seed=3)
-        graph = kernel._squared_distances(prepared, anchors.anchors, anchors.indices)
-        want.append(kernel._rbf(graph, kernel._bandwidth(graph)))
-    calls = []
+        sqdist, _ = distances_and_indices(standardize_features(view), 10, seed=3)
+        want.append(kernelize(sqdist, estimate_bandwidth(sqdist)))
+    calls = {}
 
-    def counting(*args):
-        calls.append(args)
-        return sample_anchors(*args)
+    def counting(name):
+        original = getattr(kernel, name)
 
-    monkeypatch.setattr(kernel, "sample_anchors", counting)
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, name, counted)
+
+    for name in ("sample_anchors", "_squared_distances", "estimate_bandwidth", "kernelize"):
+        counting(name)
     got = kernelize_views(views, 10, seed=3)
-    assert len(calls) == 1
+    assert calls == {
+        "sample_anchors": 1, "_squared_distances": 3, "estimate_bandwidth": 3, "kernelize": 3,
+    }
     assert np.array_equal(got, np.stack(want))
 
 
 def test_kernelize_views_rejects_unequal_sample_counts(rng):
     with pytest.raises(InconsistentSampleCounts):
         kernelize_views([rng.standard_normal((3, 10)), rng.standard_normal((3, 9))], 4, seed=0)
+
+
+def refuse_anchor_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("anchors drawn before the view list was checked")
+
+    monkeypatch.setattr(kernel, "sample_anchors", no_draw)
+
+
+def test_kernelize_views_rejects_empty_view_list(monkeypatch):
+    refuse_anchor_draw(monkeypatch)
+    with pytest.raises(InconsistentSampleCounts, match="^need at least one view$"):
+        kernelize_views([], 2, seed=0)
+
+
+@pytest.mark.parametrize("shape", [(), (10,), (2, 10, 10)])
+def test_kernelize_views_rejects_view_that_is_not_2d(rng, monkeypatch, shape):
+    refuse_anchor_draw(monkeypatch)
+    for bad in (0, 1):
+        views = [rng.standard_normal((3, 10)) for _ in range(2)]
+        views[bad] = rng.standard_normal(shape)
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^view {bad + 1} must be 2-D .*{re.escape(str(shape))}$"):
+            kernelize_views(views, 2, seed=0)
 
 
 def test_kernelize_views_checks_anchor_count_before_allocating(rng):
@@ -205,52 +234,52 @@ def test_overflowing_distances_rejected_naming_view(rng):
 
 
 def test_graph_depends_on_anchor_values_not_layout(rng):
-    view = rng.standard_normal((7, 300))
-    fancy = view[:, rng.choice(300, 40, replace=False)]
-    c_order = np.ascontiguousarray(fancy)
-    assert fancy.flags.f_contiguous and not fancy.flags.c_contiguous
-    want = kernelize(view, c_order, delta=2.0)
-    for anchors in (np.asfortranarray(c_order), fancy):
-        assert np.array_equal(kernelize(view, anchors, delta=2.0), want)
+    # an F-ordered view (as X.T gives for an n x d array X) must give the
+    # same graph as a C-ordered copy of its values
+    for d in (7, 50, 400):
+        view = rng.standard_normal((d, 300))
+        x = np.ascontiguousarray(view.T)
+        assert x.T.flags.f_contiguous and not x.T.flags.c_contiguous
+        for standardize in (True, False):
+            want = kernelize_views([view], 40, seed=1, standardize=standardize)
+            for other in (np.asfortranarray(view), x.T):
+                got = kernelize_views([other], 40, seed=1, standardize=standardize)
+                assert np.array_equal(got, want), (d, standardize)
 
 
 def test_kernelize_scalar_example():
-    graph = kernelize(np.array([[0.0]]), np.array([[2.0]]), delta=4.0)
+    graph = kernelize(np.array([[4.0]]), 4.0)
     assert graph[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
 def test_kernelize_huge_bandwidth_limit(rng):
-    view = rng.standard_normal((3, 6))
-    anchors = sample_anchors(view, 2, seed=5)
-    graph = kernelize(view, anchors, delta=1e9)
+    sqdist, _ = distances_and_indices(rng.standard_normal((3, 6)), 2, seed=5)
+    graph = kernelize(sqdist, delta=1e9)
     assert np.all(np.abs(graph - 1.0) <= 1e-6)
 
 
 def test_kernelize_rejects_nonpositive_delta(rng):
-    view = rng.standard_normal((2, 3))
-    anchors = sample_anchors(view, 1, seed=0)
+    sqdist, _ = distances_and_indices(rng.standard_normal((2, 3)), 1, seed=0)
     for bad in (0.0, -1.0):
         with pytest.raises(NonPositiveBandwidth):
-            kernelize(view, anchors, delta=bad)
+            kernelize(sqdist, delta=bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_kernelize_rejects_non_finite_delta(rng, bad):
-    view = rng.standard_normal((2, 3))
-    anchors = sample_anchors(view, 1, seed=0)
+    sqdist, _ = distances_and_indices(rng.standard_normal((2, 3)), 1, seed=0)
     with pytest.raises(NonPositiveBandwidth):
-        kernelize(view, anchors, delta=bad)
+        kernelize(sqdist, delta=bad)
 
 
 def test_graph_entries_in_unit_interval_and_monotone(rng):
     view = rng.standard_normal((4, 20))
-    anchors = sample_anchors(view, 5, seed=6)
-    delta = estimate_bandwidth(view, anchors)
-    graph = kernelize(view, anchors, delta)
+    sqdist, indices = distances_and_indices(view, 5, seed=6)
+    graph = kernelize(sqdist, estimate_bandwidth(sqdist))
     assert np.all(graph > 0) and np.all(graph <= 1)
     # strictly smaller entry for strictly larger squared distance
     sq = np.array([
-        [np.sum((view[:, i] - anchors.anchors[:, j]) ** 2) for i in range(20)]
+        [np.sum((view[:, i] - view[:, indices[j]]) ** 2) for i in range(20)]
         for j in range(5)
     ])
     flat_sq = sq.ravel()
@@ -263,12 +292,13 @@ def test_graph_entries_in_unit_interval_and_monotone(rng):
 
 def test_permutation_equivariance(rng):
     view = rng.standard_normal((3, 12))
-    anchors = sample_anchors(view, 4, seed=7)
-    delta = 2.0
-    graph = kernelize(view, anchors, delta)
+    sqdist, indices = distances_and_indices(view, 4, seed=7)
     perm = rng.permutation(12)
-    graph_perm = kernelize(view[:, perm], anchors, delta)
-    assert np.array_equal(graph_perm, graph[:, perm])
+    # sample perm[i] is column i of the permuted view, so anchor column
+    # indices[j] moves to inv[indices[j]]
+    inv = np.argsort(perm)
+    permuted = kernel._squared_distances(view[:, perm], inv[indices])
+    assert np.array_equal(permuted, sqdist[:, perm])
 
 
 def test_determinism(rng):
