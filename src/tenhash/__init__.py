@@ -19,7 +19,6 @@ from .hamming_kmeans import (
     binary_kmeans,
     binary_kmeans_restarts,
     centroid_step,
-    hamming_distance,
 )
 from .kernel import (
     estimate_bandwidth,

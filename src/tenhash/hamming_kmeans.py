@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidK, LengthMismatch, NonSignCodes
+from .exceptions import InvalidK, NonSignCodes
 
 MAX_ITER = 100  # assignment/centroid rounds per k-means run
 
@@ -37,15 +37,6 @@ def sign_pm1(x, out=None):
     signs *= 2.0
     signs -= 1.0
     return signs
-
-
-def hamming_distance(b, c):
-    """Number of disagreeing positions between two +-1 vectors."""
-    b = np.asarray(b).ravel()
-    c = np.asarray(c).ravel()
-    if b.size != c.size:
-        raise LengthMismatch(f"code lengths differ: {b.size} vs {c.size}")
-    return int(np.sum(b != c))
 
 
 def assign_step(codes, centroids):

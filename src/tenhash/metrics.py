@@ -2,7 +2,11 @@
 
 All five metrics are computed from the contingency table and are
 invariant to relabeling either partition. Accuracy solves the optimal
-label matching exactly (rectangular assignment), not greedily.
+label matching exactly, not greedily: Kuhn's Hungarian method with
+row and column potentials on the integer k x k' table (k <= k' after a
+transpose), in int64 so the matched count is exact. Each of the k rows
+is added by at most k shortest-path steps of O(k') vectorized work over
+the columns, so the cost is O(k^2 k') in the worst case.
 """
 
 import numpy as np
@@ -32,14 +36,55 @@ def contingency_table(pred, truth):
     return table
 
 
+def _max_matching(table):
+    """Largest total of a k x k' nonnegative integer table over matchings
+    of rows to distinct columns (every row of the shorter side matched).
+
+    Kuhn's Hungarian method with Jonker-Volgenant potentials, on costs
+    -table: each row in turn grows a shortest augmenting path over the
+    columns, then the path is flipped. Index 0 of the potential, match
+    and path arrays is a virtual row/column the new row starts from.
+    """
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    rows, cols = table.shape
+    cost = np.zeros((rows + 1, cols + 1), dtype=np.int64)
+    cost[1:, 1:] = -table
+    big = np.iinfo(np.int64).max // 2
+    row_pot = np.zeros(rows + 1, dtype=np.int64)
+    col_pot = np.zeros(cols + 1, dtype=np.int64)
+    match = np.zeros(cols + 1, dtype=np.intp)  # row held by each column, 0 = free
+    way = np.zeros(cols + 1, dtype=np.intp)  # previous column on the path
+    for row in range(1, rows + 1):
+        match[0] = row
+        col = 0
+        slack = np.full(cols + 1, big, dtype=np.int64)
+        used = np.zeros(cols + 1, dtype=bool)
+        while match[col]:
+            used[col] = True
+            held = match[col]
+            reduced = cost[held] - row_pot[held] - col_pot
+            better = ~used & (reduced < slack)
+            slack[better] = reduced[better]
+            way[better] = col
+            free_slack = np.where(used, big, slack)
+            nxt = int(np.argmin(free_slack))
+            delta = free_slack[nxt]
+            row_pot[match[used]] += delta
+            col_pot[used] -= delta
+            slack[~used] -= delta
+            col = nxt
+        while col:
+            match[col] = match[way[col]]
+            col = way[col]
+    matched = match[1:] > 0
+    return table[match[1:][matched] - 1, np.flatnonzero(matched)].sum()
+
+
 def accuracy(pred, truth):
     """Best matched fraction over label bijections (optimal assignment)."""
-    # imported here: scipy is slow to import and only scoring needs it
-    from scipy.optimize import linear_sum_assignment
-
     table = contingency_table(pred, truth)
-    rows, cols = linear_sum_assignment(-table)
-    return table[rows, cols].sum() / table.sum()
+    return _max_matching(table) / table.sum()
 
 
 def nmi(pred, truth):

@@ -308,6 +308,30 @@ def accuracy_by_permutation(pred, truth):
     return best / n
 
 
+def accuracy_by_subset_dp(pred, truth):
+    """Max matched fraction by a DP over subsets of the smaller label set:
+    best[mask] is the largest total of a matching of the larger-side labels
+    seen so far into the set ``mask`` of smaller-side labels, and each
+    larger-side label in turn stays unmatched or takes one free label.
+    Costs 2^s * s per larger-side label; keep the smaller set <= ~12."""
+    table = contingency_from_labels(pred, truth)
+    if table.shape[0] < table.shape[1]:
+        table = table.T  # columns: the smaller label set
+    s = table.shape[1]
+    masks = np.arange(1 << s)
+    best = np.full(1 << s, -1, dtype=np.int64)  # -1: mask not reachable
+    best[0] = 0
+    for row in table:
+        grown = best.copy()
+        for j in range(s):
+            without = masks[(masks >> j) & 1 == 0]
+            reach = best[without] >= 0
+            target = without[reach] | (1 << j)
+            grown[target] = np.maximum(grown[target], best[without[reach]] + int(row[j]))
+        best = grown
+    return int(best.max()) / int(table.sum())
+
+
 def nmi_from_scratch(pred, truth):
     table = contingency_from_labels(pred, truth).astype(float)
     # single-cluster partitions have zero entropy by definition

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 import oracles
 from tenhash import hamming_kmeans
-from tenhash.exceptions import InvalidK, LengthMismatch, NonSignCodes, TenhashError
+from tenhash.exceptions import InvalidK, NonSignCodes, TenhashError
 from tenhash.hamming_kmeans import (
     ClusterModel,
     assign_step,
     binary_kmeans,
     binary_kmeans_restarts,
     centroid_step,
-    hamming_distance,
     quantization_error,
     sign_pm1,
 )
@@ -54,34 +53,16 @@ def test_sign_float64_shape_kept_input_untouched(rng, dtype):
 # hamming distance
 
 
-def test_hamming_equal():
-    b = np.array([1, -1, 1, 1])
-    assert hamming_distance(b, b) == 0
-
-
-def test_hamming_opposite():
-    b = np.ones(8)
-    assert hamming_distance(b, -b) == 8
-
-
-def test_hamming_example_and_identity():
-    b = np.array([1, -1, 1])
-    c = np.array([1, 1, 1])
-    assert hamming_distance(b, c) == 1
-    assert (3 - b @ c) / 2 == 1
-
-
-def test_hamming_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        hamming_distance(np.ones(3), np.ones(4))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=64))
 def test_hamming_inner_product_identity(pairs):
+    # H = (l - b.c) / 2, by which assign_step ranks centroids, and the
+    # 4 per disagreeing bit of quantization_error, against a direct count
     b = np.array([1.0 if x else -1.0 for x, _ in pairs])
     c = np.array([1.0 if y else -1.0 for _, y in pairs])
-    assert hamming_distance(b, c) == (len(pairs) - b @ c) / 2
+    assert oracles.hamming_count(b, c) == (len(pairs) - b @ c) / 2
+    model = ClusterModel(centroids=c[:, None], labels=np.zeros(1, dtype=int))
+    assert quantization_error(b[:, None], model) == 4 * oracles.hamming_count(b, c)
 
 
 # ---------------------------------------------------------------------------

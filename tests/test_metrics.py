@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -68,6 +69,50 @@ def test_accuracy_matches_permutation_oracle_corpus():
         assert accuracy(pred, truth) == pytest.approx(
             oracles.accuracy_by_permutation(pred, truth), abs=1e-12
         )
+
+
+def labels_from_table(table):
+    """pred/truth label vectors whose contingency table is ``table`` (rows
+    and columns without samples drop out, as no label names them)."""
+    rows, cols = np.nonzero(table)
+    counts = table[rows, cols]
+    return np.repeat(rows, counts), np.repeat(cols, counts)
+
+
+def oracle_tables(rng):
+    """Rectangular tables both ways up to 12 x 30, tied columns, a single
+    row or column, and tables that are mostly zeros."""
+    for kind in range(5):
+        for _ in range(30):
+            small, large = int(rng.integers(1, 13)), int(rng.integers(1, 31))
+            table = rng.integers(0, 20, (small, large))
+            if kind == 1:  # tied columns: copies of a few columns
+                table = table[:, rng.integers(0, min(3, large), large)]
+            elif kind == 2:
+                table = table[:1]
+            elif kind == 3:  # mostly zeros
+                table = table * (rng.random(table.shape) < 0.1)
+            elif kind == 4:  # many equal-weight ties
+                table = rng.integers(0, 2, table.shape)
+            if rng.integers(2):  # larger label set on the pred side
+                table = table.T
+            if table.sum() == 0:
+                table[0, 0] = 1
+            yield table
+
+
+def test_accuracy_matches_subset_dp_oracle_corpus():
+    rng = np.random.default_rng(33)
+    shapes = set()
+    for table in oracle_tables(rng):
+        pred, truth = labels_from_table(table)
+        shapes.add(contingency_table(pred, truth).shape)
+        assert accuracy(pred, truth) == pytest.approx(
+            oracles.accuracy_by_subset_dp(pred, truth), abs=1e-12
+        )
+    assert any(r > c for r, c in shapes) and any(r < c for r, c in shapes)
+    assert any(1 in shape for shape in shapes)
+    assert any(min(r, c) >= 10 and max(r, c) >= 25 for r, c in shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +236,33 @@ def test_ranges(rng):
         assert scores["ari"] <= 1.0
 
 
-def test_import_tenhash_loads_no_scipy():
-    # scipy is imported by accuracy() on first use, not by `import tenhash`
+def test_import_tenhash_loads_no_scipy(tmp_path):
+    # neither `import tenhash` nor scoring (all_metrics, `eval`, a labeled
+    # `cluster`) loads scipy
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    script = f"""
+import sys
+import tenhash
+from tenhash import cli
+before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+tenhash.all_metrics([0, 0, 1, 2], [1, 1, 0, 0])
+ds = {str(tmp_path / "ds")!r}
+assert cli.main(["synth", "--k", "3", "--n", "60", "--dims", "3,3", "--out", ds]) == 0
+assert cli.main(["cluster", ds, "--anchors", "20", "--bits", "8", "--restarts", "2",
+                 "--max-iter", "5", "--out", ds + "/report.json",
+                 "--labels-out", ds + "/pred.csv"]) == 0
+assert cli.main(["eval", ds + "/pred.csv", ds + "/labels.csv",
+                 "--out", ds + "/eval.json"]) == 0
+after = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+print(before, after)
+"""
     loaded = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, tenhash; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    assert loaded == "[]"
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()[-1]
+    assert loaded == "[] []"
+    report = json.loads((tmp_path / "ds" / "report.json").read_text())
+    assert "acc" in report
+    assert set(json.loads((tmp_path / "ds" / "eval.json").read_text())) == {
+        "acc", "nmi", "purity", "fscore", "ari"}
