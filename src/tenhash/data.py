@@ -179,7 +179,10 @@ def load_multiview(path):
 def save_multiview(data, path, force=False):
     """Write a dataset directory (inverse of :func:`load_multiview`).
 
-    Refuses to overwrite existing view/label files unless ``force``.
+    Refuses to overwrite existing view/label files unless ``force``. With
+    ``force``, view files numbered above the new view count and a labels
+    file the data does not have are removed, so the directory loads as
+    ``data``.
     """
     os.makedirs(path, exist_ok=True)
     targets = [
@@ -198,6 +201,11 @@ def save_multiview(data, path, force=False):
             os.path.join(path, f"view_{p + 1}.csv"),
             view, fmt="%.17g", delimiter=",",
         )
+    if force:
+        for entry in os.listdir(path):
+            match = _VIEW_RE.match(entry)
+            if match and int(match.group(1)) > len(data.views):
+                os.remove(os.path.join(path, entry))
     labels_path = os.path.join(path, "labels.csv")
     if data.labels is not None:
         np.savetxt(labels_path, np.asarray(data.labels, dtype=int), fmt="%d")

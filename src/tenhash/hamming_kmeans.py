@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidK, NonSignCodes
+from .exceptions import DimensionMismatch, InvalidK, NonSignCodes
 
 MAX_ITER = 100  # assignment/centroid rounds per k-means run
 
@@ -100,6 +100,9 @@ def binary_kmeans(codes, k, seed=0):
     order, at error 0.
     """
     codes = np.asarray(codes, dtype=float)
+    if codes.ndim != 2 or codes.shape[0] == 0:
+        raise DimensionMismatch(
+            f"codes must be an l x n matrix with l >= 1 bits, got shape {codes.shape}")
     _check_sign_codes(codes)
     n = codes.shape[1]
     if not 1 <= k <= n:

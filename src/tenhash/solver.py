@@ -19,11 +19,11 @@ on the graphs: each view's Gram matrix is eigendecomposed once per graph
 stack (:func:`gram_factors`), the factors are passed to every
 :func:`solve` on that stack, and every linear solve is two GEMMs.
 
-No product is formed twice from the same operands: the objective takes
-its fit from the code step's Q' phi, and phi B' (for the projection step)
-and the enhanced TNN of B (for the objective) are kept for as long as no
-code bit flips. Nothing is formed that only a trace reads: the objective
-is computed only when :func:`solve` is asked for it (``trace=True``).
+Each step returns only the block it updates. One product is kept across
+iterations: phi B' (for the projection step) is formed again only after a
+code bit flips. The objective reads only the state and the graphs, and
+nothing is formed that only a trace reads: the objective is computed only
+when :func:`solve` is asked for it (``trace=True``).
 
 Every block is one view-major array with view p at ``x[p]``: graphs are
 v x m x n, projections (and A, Y) v x m x bits, codes (and E, J)
@@ -114,15 +114,20 @@ def fuse_codes(per_view):
 
 def _graph_stack(graphs):
     """The v x m x n float stack of a list or stack of m x n graphs, after
-    checking that every view has the same sample and anchor counts."""
+    checking that every view is 2-D with the same sample and anchor
+    counts."""
     if len(graphs) == 0:
         raise InconsistentSampleCounts("need at least one view")
-    m, n = np.shape(graphs[0])
-    for rows, cols in map(np.shape, graphs):
-        if cols != n:
-            raise InconsistentSampleCounts(f"views disagree on sample count: {cols} vs {n}")
-        if rows != m:
-            raise ShapeMismatch(f"views disagree on anchor count: {rows} vs {m}")
+    first = np.shape(graphs[0])
+    # view 1 is checked first, so first is 2-D wherever it is indexed
+    for p, shape in enumerate(map(np.shape, graphs), 1):
+        if len(shape) != 2:
+            raise ShapeMismatch(f"the graph of view {p} is not 2-D: shape {shape}")
+        if shape[1] != first[1]:
+            raise InconsistentSampleCounts(
+                f"views disagree on sample count: {shape[1]} vs {first[1]}")
+        if shape[0] != first[0]:
+            raise ShapeMismatch(f"views disagree on anchor count: {shape[0]} vs {first[0]}")
     return np.asarray(graphs, dtype=float)
 
 
@@ -195,18 +200,18 @@ def update_projections(state, graph_codes, config, factors):
 def update_codes(state, graphs, config):
     """Closed-form sign step: B = sign(alpha Q' phi + (mu E - J) / 2),
     the exact maximizer of the code subproblem's trace objective. Returns
-    the codes and the product Q' phi, which the objective reuses."""
-    projected = state.projections.mT @ graphs
+    the codes."""
     # starting from the C-ordered product keeps the codes C-ordered: the
     # residual norms sum in memory order, so another layout rounds them
     # differently
-    target = config.alpha * projected
+    target = state.projections.mT @ graphs
+    target *= config.alpha
     # one temporary, updated in place; the target then becomes the codes
     step = state.mu * state.aux_code
     step -= state.dual_code
     step *= 0.5
     target += step
-    return sign_pm1(target, out=target), projected
+    return sign_pm1(target, out=target)
 
 
 def _aux_update(block, dual, mu, zeta, n):
@@ -256,18 +261,15 @@ def update_multipliers(state, gaps):
     return *gaps, mu
 
 
-def objective_value(state, projected, config, code_norm=None):
-    """Data-fit term plus both enhanced tensor nuclear norms, with the fit
-    taken from ``projected`` = Q' phi of the current projections.
-    ``code_norm``, if given, is the enhanced TNN of the current codes and
-    is not recomputed. Returns the objective and that norm."""
-    fit = np.linalg.norm(projected - state.codes) ** 2
+def objective_value(state, graphs, config):
+    """Data-fit term plus both enhanced tensor nuclear norms of the current
+    projections and codes on the graphs phi."""
+    fit = np.linalg.norm(state.projections.mT @ graphs - state.codes) ** 2
     projection_norm = enhanced_tensor_nuclear_norm(
         np.moveaxis(state.projections, 0, 2), config.zeta
     )
-    if code_norm is None:
-        code_norm = enhanced_tensor_nuclear_norm(np.moveaxis(state.codes, 0, 2), config.zeta)
-    return float(config.alpha * fit + projection_norm + code_norm), code_norm
+    code_norm = enhanced_tensor_nuclear_norm(np.moveaxis(state.codes, 0, 2), config.zeta)
+    return float(config.alpha * fit + projection_norm + code_norm)
 
 
 def _check_finite(state, iteration, names):
@@ -306,28 +308,22 @@ def solve(graphs, factors, config, trace=False):
     b_size = np.sqrt(state.aux_code.size)
     history = []
     stop_reason = "max_iter"
-    # phi B' and the enhanced TNN of the current codes, kept until a code
-    # bit flips
-    graph_codes = code_norm = None
+    # phi B', kept until a code bit flips
+    graph_codes = None
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         mu_used = state.mu
         if graph_codes is None:
             graph_codes = graphs @ state.codes.mT
         state.projections = update_projections(state, graph_codes, config, factors)
-        new_codes, projected = update_codes(state, graphs, config)
+        new_codes = update_codes(state, graphs, config)
         flipped = int(np.count_nonzero(new_codes != state.codes))
         if flipped:
-            graph_codes = code_norm = None
+            graph_codes = None
         state.codes = new_codes
         # each block is scanned once, at the first check after it changed
         _check_finite(state, it, ("projections", "dual_projection", "dual_code"))
-        # the objective reads only Q, B and phi: take it while Q' phi is at
-        # hand, and free that product before the shrinkage steps
-        obj = None
-        if trace:
-            obj, code_norm = objective_value(state, projected, config, code_norm)
-        del projected
+        obj = objective_value(state, graphs, config) if trace else None
         # neither shrinkage step reads the old A or E: free them first
         state.aux_projection = state.aux_code = None
         state.aux_projection = update_aux_projection(state, config)

@@ -181,7 +181,7 @@ def test_criterion_3_subproblem_exactness(synthetic_run):
         state.mu = mu
         state.aux_code = rng.standard_normal((1, bits, n))
         state.dual_code = rng.standard_normal((1, bits, n))
-        got = update_codes(state, graphs, config)[0][0]
+        got = update_codes(state, graphs, config)[0]
         target = (
             config.alpha * (state.projections[0].T @ graphs[0])
             + 0.5 * (state.mu * state.aux_code[0] - state.dual_code[0])

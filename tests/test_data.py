@@ -149,6 +149,20 @@ def test_save_refuses_overwrite_without_force(tmp_path):
     save_multiview(data, out, force=True)
 
 
+def test_save_with_force_removes_views_beyond_new_count(tmp_path):
+    out = tmp_path / "ds"
+    save_multiview(gen_gaussian_clusters(k=2, v=3, n=20, dims=[2, 3, 4], sep=5, seed=1), out)
+    fewer = gen_gaussian_clusters(k=2, v=2, n=20, dims=[2, 3], sep=5, seed=1)
+    with pytest.raises(FileExistsError):
+        save_multiview(fewer, out)
+    save_multiview(fewer, out, force=True)
+    assert not os.path.exists(out / "view_3.csv")
+    loaded = load_multiview(out)
+    assert len(loaded.views) == 2
+    for a, b in zip(loaded.views, fewer.views):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tenhash import hamming_kmeans
-from tenhash.exceptions import InvalidK, NonSignCodes, TenhashError
+from tenhash.exceptions import DimensionMismatch, InvalidK, NonSignCodes, TenhashError
 from tenhash.hamming_kmeans import (
     ClusterModel,
     assign_step,
@@ -344,3 +344,11 @@ def test_kmeans_rejects_non_sign_codes(rng, value):
         binary_kmeans(codes, 2)
     assert isinstance(info.value, TenhashError) and isinstance(info.value, ValueError)
     assert f"code bit 3 of sample 7 is {value}" in str(info.value)
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 4), (0, 5)])
+@pytest.mark.parametrize("fit", [binary_kmeans, binary_kmeans_restarts])
+def test_kmeans_rejects_codes_that_are_not_a_bit_matrix(shape, fit):
+    # checked before the entries: a 0 x n matrix has none to reject
+    with pytest.raises(DimensionMismatch, match=rf"shape \({shape[0]},"):
+        fit(np.ones(shape), 1)

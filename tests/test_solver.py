@@ -93,6 +93,13 @@ def test_graph_lists_checked_before_stacking(rng, entry):
         ENTRIES[entry]([rng.random((3, 5)), rng.random((4, 5))])
     with pytest.raises(InconsistentSampleCounts):
         ENTRIES[entry]([])
+    # a graph that is not 2-D is named by its view and shape
+    with pytest.raises(ShapeMismatch, match=r"view 1 is not 2-D: shape \(5,\)"):
+        ENTRIES[entry](rng.random((3, 5)))
+    with pytest.raises(ShapeMismatch, match=r"view 2 is not 2-D: shape \(5,\)"):
+        ENTRIES[entry]([rng.random((3, 5)), rng.random(5)])
+    with pytest.raises(ShapeMismatch, match=r"view 1 is not 2-D: shape \(3, 5, 2\)"):
+        ENTRIES[entry](rng.random((2, 3, 5, 2)))
 
 
 @pytest.mark.parametrize("v, m", [(3, 4), (2, 5), (1, 4)])
@@ -204,7 +211,7 @@ def test_code_update_all_positive_argument(rng):
     state.projections = np.ones((1, 3, 2))
     state.aux_code = np.ones((1, 2, 4))
     state.dual_code = np.zeros((1, 2, 4))
-    codes, _ = update_codes(state, graphs, config)
+    codes = update_codes(state, graphs, config)
     assert np.all(codes[0] == 1.0)
 
 
@@ -214,7 +221,7 @@ def test_code_update_zero_argument_tie(rng):
     state = init_state(graphs, config)
     state.aux_code = np.zeros((state.aux_code.shape))
     state.dual_code = np.zeros((state.dual_code.shape))
-    codes, _ = update_codes(state, graphs, config)
+    codes = update_codes(state, graphs, config)
     assert np.all(codes[0] == 1.0)
 
 
@@ -228,10 +235,9 @@ def test_code_update_returns_c_ordered_codes_from_moved_axis_inputs(rng):
     state.aux_code = np.moveaxis(rng.standard_normal((3, 12, 2)), 2, 0)
     state.dual_code = np.moveaxis(rng.standard_normal((3, 12, 2)), 2, 0)
     assert not state.aux_code.flags.c_contiguous
-    codes, projected = update_codes(state, graphs, config)
+    codes = update_codes(state, graphs, config)
     assert codes.flags.c_contiguous
-    assert projected.flags.c_contiguous
-    target = config.alpha * projected + 0.5 * (
+    target = config.alpha * (state.projections.mT @ graphs) + 0.5 * (
         state.mu * np.ascontiguousarray(state.aux_code) - state.dual_code)
     assert np.array_equal(codes, np.where(target >= 0, 1.0, -1.0))
 
@@ -246,7 +252,7 @@ def test_code_update_matches_brute_force():
         state.mu = mu
         state.aux_code = rng.standard_normal((1, 2, 3))
         state.dual_code = rng.standard_normal((1, 2, 3))
-        got = update_codes(state, graphs, config)[0][0]
+        got = update_codes(state, graphs, config)[0]
         target = (
             config.alpha * (state.projections[0].T @ graphs[0])
             + 0.5 * (state.mu * state.aux_code[0] - state.dual_code[0])
@@ -385,7 +391,7 @@ def test_objective_zero_graph_constant_tensors():
     config = make_config(alpha=0.8, bits=bits)
     state = init_state(graphs, config)
     state.projections = np.zeros((v, m, bits))
-    got, _ = objective_value(state, state.projections.mT @ graphs, config)
+    got = objective_value(state, graphs, config)
     ones = np.ones((bits, n, v))
     etnn_ones = (
         oracles.matrix_nuclear_norm(oracles.spectral_singular_values(ones))
@@ -401,7 +407,7 @@ def test_objective_all_zero_state():
     state = init_state(graphs, config)
     state.projections = np.zeros((1, 3, 3))
     state.codes = np.zeros((1, 3, 4))
-    assert objective_value(state, state.projections.mT @ graphs, config)[0] == 0.0
+    assert objective_value(state, graphs, config) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +516,7 @@ def test_solve_codes_binary_every_iteration(rng):
         state.projections = update_projections(
             state, graphs @ state.codes.mT, config, factors,
         )
-        state.codes, _ = update_codes(state, graphs, config)
+        state.codes = update_codes(state, graphs, config)
         state.aux_projection = update_aux_projection(state, config)
         state.aux_code = update_aux_code(state, config)
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
@@ -587,14 +593,14 @@ def recomputing_solve(graphs, config):
         state.projections = update_projections(
             state, graphs @ state.codes.mT, config, factors,
         )
-        codes, _ = update_codes(state, graphs, config)
+        codes = update_codes(state, graphs, config)
         flipped = int(np.sum(codes != state.codes))
         state.codes = codes
         state.aux_projection = update_aux_projection(state, config)
         state.aux_code = update_aux_code(state, config)
         res_q = float(np.linalg.norm(state.projections - state.aux_projection))
         res_b = float(np.linalg.norm(state.codes - state.aux_code))
-        obj, _ = objective_value(state, state.projections.mT @ graphs, config)
+        obj = objective_value(state, graphs, config)
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
             state, _primal_gaps(state)
         )
@@ -637,8 +643,8 @@ def test_solve_reuse_is_exact_and_happens(monkeypatch):
     # iteration 1 flips, later ones both flip and do not
     assert flips[0] > 0
     assert 0 in flips and any(flips[1:])
-    # the enhanced TNN of Q every iteration, that of B only after a flip
-    assert len(etnn_calls) == len(history) + sum(f > 0 for f in flips)
+    # the enhanced TNNs of Q and B in every traced iteration
+    assert len(etnn_calls) == 2 * len(history)
     # phi B' is formed in iteration 1 and after each flip, else reused
     for k in range(1, len(history)):
         reused = graph_codes_seen[k] is graph_codes_seen[k - 1]
