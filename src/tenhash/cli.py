@@ -184,6 +184,8 @@ def _view_dims(args, parser):
 
 def cmd_synth(args, parser):
     dims = _view_dims(args, parser)
+    if args.k > args.n:
+        parser.error(f"--k: {args.k} exceeds --n, {args.n} samples")
     dataset = datamod.gen_gaussian_clusters(
         k=args.k, v=args.views, n=args.n, dims=dims, sep=args.sep, seed=args.seed,
     )
@@ -267,9 +269,10 @@ def cmd_sweep(args, parser):
 
 def cmd_bench(args, parser):
     dims = _view_dims(args, parser)
-    if args.anchors > min(args.sizes):
-        parser.error(f"--anchors: {args.anchors} exceeds the smallest --sizes "
-                     f"entry, {min(args.sizes)} samples")
+    for flag, value in (("--anchors", args.anchors), ("--k", args.k)):
+        if value > min(args.sizes):
+            parser.error(f"{flag}: {value} exceeds the smallest --sizes "
+                         f"entry, {min(args.sizes)} samples")
     # small untimed run first so BLAS thread pools are already warm
     warm = datamod.gen_gaussian_clusters(
         k=args.k, v=args.views, n=max(10 * args.k, 200), dims=dims,

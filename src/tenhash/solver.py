@@ -41,7 +41,11 @@ import numpy as np
 
 from .exceptions import InconsistentSampleCounts, NonFinite, ShapeMismatch
 from .hamming_kmeans import sign_pm1
-from .tensor_ops import enhanced_tensor_nuclear_norm, enhanced_tensor_svt
+from .tensor_ops import enhanced_tensor_nuclear_norm
+# the shrinkage steps' entry: enhanced_tensor_svt without the input scan,
+# which _check_finite has made on every block the steps shift; bound under
+# the public name, through which perfbench times the shrinkage
+from .tensor_ops import shrink_unchecked as enhanced_tensor_svt
 
 MU0 = 1e-4     # initial penalty
 RHO = 2.0      # penalty growth factor per iteration
@@ -197,54 +201,69 @@ def update_projections(state, graph_codes, config, factors):
         return basis @ ((basis.mT @ rhs) / scale[:, :, None])
 
 
-def update_codes(state, graphs, config):
+def update_codes(state, graphs, config, scratch=None):
     """Closed-form sign step: B = sign(alpha Q' phi + (mu E - J) / 2),
     the exact maximizer of the code subproblem's trace objective. Returns
-    the codes."""
+    the codes.
+
+    The temporary (mu E - J) / 2 is formed in ``scratch`` (a v x bits x n
+    float array, which may be ``state.aux_code`` itself: E is read before
+    it is written) if given, else in a new array.
+    """
     # starting from the C-ordered product keeps the codes C-ordered: the
     # residual norms sum in memory order, so another layout rounds them
     # differently
     target = state.projections.mT @ graphs
     target *= config.alpha
     # one temporary, updated in place; the target then becomes the codes
-    step = state.mu * state.aux_code
+    step = np.multiply(state.aux_code, state.mu, out=scratch)
     step -= state.dual_code
     step *= 0.5
     target += step
     return sign_pm1(target, out=target)
 
 
-def _aux_update(block, dual, mu, zeta, n):
+def _aux_update(block, dual, mu, zeta, n, out, work):
     """Two-stage shrinkage of the view-major ``block + dual / mu``, with
-    the view as mode 3 of the tensor operator."""
+    the view as mode 3 of the tensor operator. The sum is formed in
+    ``work`` and the result in ``out``, two distinct arrays of the
+    block's shape (new ones where None); ``work`` is left overwritten."""
     v, rows, _ = block.shape
     lam = 1.0 / np.sqrt(max(rows, v) * n)
-    shifted = dual / mu
-    shifted += block
+    # a shift that overflows shrinks to NaN (its norm is not finite),
+    # which the check after the shrinkage steps reports for this block
+    with np.errstate(over="ignore"):
+        shifted = np.divide(dual, mu, out=work)
+        shifted += block
     tensor = np.moveaxis(shifted, 0, 2)
-    return np.moveaxis(enhanced_tensor_svt(tensor, mu, zeta, lam), 2, 0)
+    result = enhanced_tensor_svt(tensor, mu, zeta, lam, out=out, work=shifted)
+    return np.moveaxis(result, 2, 0)
 
 
-def update_aux_projection(state, config):
+def update_aux_projection(state, config, out=None, work=None):
     """Two-stage shrinkage of Q + Y/mu with the weight
-    1/sqrt(max(m, v) * n)."""
+    1/sqrt(max(m, v) * n). ``out`` and ``work`` are optional buffers
+    (v x m x bits float arrays, e.g. the old A and Q, which the step does
+    not read): the result goes into ``out``, and ``work`` is overwritten."""
     n = state.codes.shape[2]
     return _aux_update(
-        state.projections, state.dual_projection, state.mu, config.zeta, n,
+        state.projections, state.dual_projection, state.mu, config.zeta, n, out, work,
     )
 
 
-def update_aux_code(state, config):
+def update_aux_code(state, config, out=None, work=None):
     """Same shrinkage applied to B + J/mu, weight
-    1/sqrt(max(bits, v) * n)."""
+    1/sqrt(max(bits, v) * n), with buffers of the codes' shape (e.g. the
+    old E and B)."""
     n = state.codes.shape[2]
-    return _aux_update(state.codes, state.dual_code, state.mu, config.zeta, n)
+    return _aux_update(state.codes, state.dual_code, state.mu, config.zeta, n, out, work)
 
 
-def _primal_gaps(state):
-    """The constraint gaps (Q - A, B - E); their norms are the primal
-    residuals."""
-    return state.projections - state.aux_projection, state.codes - state.aux_code
+def _primal_gaps(state, out=(None, None)):
+    """The constraint gaps (Q - A, B - E), written into the pair of
+    arrays ``out`` where given; their norms are the primal residuals."""
+    return (np.subtract(state.projections, state.aux_projection, out=out[0]),
+            np.subtract(state.codes, state.aux_code, out=out[1]))
 
 
 def update_multipliers(state, gaps):
@@ -315,23 +334,29 @@ def solve(graphs, factors, config, trace=False):
         mu_used = state.mu
         if graph_codes is None:
             graph_codes = graphs @ state.codes.mT
+        # the blocks each step replaces are reused as the buffers of later
+        # steps, so an iteration allocates one new code-sized array (the
+        # codes) and frees one (the old J): the old Q is dead after the Q
+        # step, the old E once the code step has formed its temporary in
+        # it, and the old B once the flips are counted; neither shrinkage
+        # step reads the old A or E
+        old_projections = state.projections
         state.projections = update_projections(state, graph_codes, config, factors)
-        new_codes = update_codes(state, graphs, config)
-        flipped = int(np.count_nonzero(new_codes != state.codes))
+        old_codes = state.codes
+        state.codes = update_codes(state, graphs, config, scratch=state.aux_code)
+        flipped = int(np.count_nonzero(state.codes != old_codes))
         if flipped:
             graph_codes = None
-        state.codes = new_codes
         # each block is scanned once, at the first check after it changed
         _check_finite(state, it, ("projections", "dual_projection", "dual_code"))
         obj = objective_value(state, graphs, config) if trace else None
-        # neither shrinkage step reads the old A or E: free them first
-        state.aux_projection = state.aux_code = None
-        state.aux_projection = update_aux_projection(state, config)
-        state.aux_code = update_aux_code(state, config)
+        state.aux_projection = update_aux_projection(
+            state, config, out=state.aux_projection, work=old_projections)
+        state.aux_code = update_aux_code(state, config, out=state.aux_code, work=old_codes)
         _check_finite(state, it, ("aux_projection", "aux_code"))
         # each difference gives its residual norm, then becomes its
         # multiplier in place
-        gaps = _primal_gaps(state)
+        gaps = _primal_gaps(state, out=(old_projections, old_codes))
         res_q, res_b = (float(np.linalg.norm(gap)) for gap in gaps)
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
             state, gaps

@@ -114,7 +114,7 @@ def _dft_matrices(d3):
     return forward, inverse
 
 
-def _spectrum(t):
+def _spectrum(t, out=None):
     """The d3//2+1 independent spectral slices of a real tensor, as a
     contiguous (d3//2+1) x d1 x d2 stack (batched matrix products on
     non-contiguous stacks fall off BLAS); real for d3 <= 2, complex
@@ -122,38 +122,46 @@ def _spectrum(t):
 
     One product of the real DFT matrix with the view-major d3 x (d1*d2)
     reshape of ``t``; that reshape is free when ``t`` is the mode-3 view of
-    a contiguous view-major block, and a copy otherwise.
+    a contiguous view-major block, and a copy otherwise. The product goes
+    into ``out`` (a contiguous d3 x d1 x d2 float array, not ``t``'s
+    memory) if given, which for d3 <= 2 is then the stack itself.
     """
     d1, d2, d3 = t.shape
     h = d3 // 2 + 1
-    packed = _dft_matrices(d3)[0] @ np.moveaxis(t, 2, 0).reshape(d3, d1 * d2)
+    if out is None:
+        out = np.empty((d3, d1, d2))
+    packed = out.reshape(d3, d1 * d2)
+    np.matmul(_dft_matrices(d3)[0], np.moveaxis(t, 2, 0).reshape(d3, d1 * d2), out=packed)
     if d3 <= 2:
-        return packed.reshape(h, d1, d2)
+        return out
     stack = np.zeros((h, d1 * d2), dtype=complex)
     stack.real = packed[:h]
     stack.imag[1 : d3 - h + 1] = packed[h:]
     return stack.reshape(h, d1, d2)
 
 
-def _from_spectrum(stack, d3):
+def _from_spectrum(stack, d3, out=None, packed=None):
     """Real d1 x d2 x d3 tensor whose independent spectral slices are
     ``stack`` (inverse of :func:`_spectrum`); the mirrored slices are
     their conjugates by construction.
 
     One product of the inverse real DFT matrix with the packed spectrum,
-    written into a contiguous view-major d3 x d1 x d2 array; the result is
-    its mode-3 view.
+    written into a contiguous view-major d3 x d1 x d2 array (``out`` if
+    given, else a new one); the result is its mode-3 view. For d3 >= 3 the
+    complex stack is first packed into real parts and imaginary parts, in
+    ``packed`` (another such array) if given.
     """
     h, d1, d2 = stack.shape
-    if d3 <= 2:
-        packed = stack.reshape(h, d1 * d2)
-    else:
-        packed = np.empty((d3, d1, d2))
+    if d3 >= 3:
+        if packed is None:
+            packed = np.empty((d3, d1, d2))
         packed[:h] = stack.real
         packed[h:] = stack.imag[1 : d3 - h + 1]
-        packed = packed.reshape(d3, d1 * d2)
-    out = _dft_matrices(d3)[1] @ packed
-    return np.moveaxis(out.reshape(d3, d1, d2), 0, 2)
+        stack = packed
+    if out is None:
+        out = np.empty((d3, d1, d2))
+    np.matmul(_dft_matrices(d3)[1], stack.reshape(d3, d1 * d2), out=out.reshape(d3, d1 * d2))
+    return np.moveaxis(out, 0, 2)
 
 
 def _all_slices(half, d3):
@@ -169,8 +177,15 @@ def _factor(stack, vectors=True):
     Returns ``(s, rebuild)``: ``s`` is (slices, min(d1, d2)), each row
     non-increasing and zero below the rounding floor; ``rebuild(coeff)``
     returns the stack with those singular values replaced by the real
-    ``coeff`` of the same shape. With ``vectors=False`` no eigenvectors
-    are computed and ``rebuild`` is None.
+    ``coeff`` of the same shape, written into ``out`` if given (an array
+    of the stack's shape and type that is not the stack). With
+    ``vectors=False`` no eigenvectors are computed and ``rebuild`` is
+    None.
+
+    The rebuild forms, per slice, the short-side square matrix
+    P = basis diag(coeff / s) basis^H and applies it to the slice in one
+    product, in place of two products with the basis over the long side.
+    It agrees with the two-product form to rounding level.
     """
     _, d1, d2 = stack.shape
     long = max(d1, d2)
@@ -190,12 +205,15 @@ def _factor(stack, vectors=True):
         return s, None
     basis = basis[:, :, ::-1]
 
-    def rebuild(coeff):
+    def rebuild(coeff, out=None):
         # the slice itself is reused, so spurious null-space directions
         # of the Gram matrix self-cancel
         ratio = np.divide(coeff, s, out=np.zeros_like(coeff), where=s > 0)
-        out = (basis * ratio[:, None, :]) @ (basis.conj().mT @ wide)
-        return out.mT if tall else out
+        projector = (basis * ratio[:, None, :]) @ basis.conj().mT
+        # a tall stack's slices take P from the right: (P X^T)^T = X P^T
+        if tall:
+            return np.matmul(stack, projector.mT, out=out)
+        return np.matmul(projector, stack, out=out)
 
     return s, rebuild
 
@@ -351,7 +369,10 @@ def enhanced_tensor_svt(t, mu, zeta, lam):
     Works on the spectral slices with economy factorizations, which is
     algebraically identical to composing the public operations
     (decompose, extract, shrink, fold, rebuild, shrink) but never forms
-    the full square orthogonal factors.
+    the full square orthogonal factors. The work is done by
+    :func:`shrink_unchecked`, which returns zeros without factoring when
+    the norm of ``t`` shows the result is 0, and all NaN when that norm
+    overflows.
     """
     if not 0 < mu:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -360,8 +381,45 @@ def enhanced_tensor_svt(t, mu, zeta, lam):
     t = _as_tensor3(t)
     if zeta == 0 and lam == 0:
         return t.copy()
-    d3 = t.shape[2]
-    s, rebuild = _factor(_spectrum(t))
+    return shrink_unchecked(t, mu, zeta, lam)
+
+
+def shrink_unchecked(t, mu, zeta, lam, out=None, work=None):
+    """:func:`enhanced_tensor_svt` of a 3-D float ``t`` without its
+    argument checks, for a caller that has made them (``mu > 0`` and
+    ``zeta, lam >= 0`` not both 0). The result is written into ``out``, a
+    contiguous d3 x d1 x d2 float array, else into a new one, and returned
+    as its mode-3 view. ``work``, another such array, holds the rebuilt
+    spectrum if given; ``t`` may be the mode-3 view of ``work`` (it is read
+    before either array is written) but not of ``out``. With both buffers
+    the call allocates no array of t's size for d3 <= 2.
+
+    A tensor whose Frobenius norm is not finite (a NaN or Inf entry, or
+    one so large its square overflows) shrinks to all NaN, so the caller's
+    finiteness check reports it.
+
+    When the norm shows that every coefficient stage two keeps is 0, the
+    result is +0.0 everywhere and nothing is factored: by Parseval the
+    core matrix has Frobenius norm sqrt(d3) * ||t||_F, which bounds its
+    largest singular value, so no entry exceeds sqrt(d3) * ||t||_F - lam/mu
+    after stage one, and stage two zeroes every entry of magnitude at most
+    zeta/mu. The factor 1 + 1e-6 covers the rounding of the computed
+    singular values.
+    """
+    d1, d2, d3 = t.shape
+    if out is None:
+        out = np.empty((d3, d1, d2))
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(t)
+    if not np.isfinite(norm):
+        out.fill(np.nan)
+        return np.moveaxis(out, 0, 2)
+    if np.sqrt(d3) * norm * (1 + 1e-6) - lam / mu <= zeta / mu:
+        out.fill(0.0)
+        return np.moveaxis(out, 0, 2)
+    # the spectrum is taken into out, the rebuilt spectrum into work (for
+    # d3 >= 3, its real packing), and the result into out again
+    s, rebuild = _factor(_spectrum(t, out=out))
     cm = _all_slices(s.T, d3)
     # stage one: global SVT on the core matrix couples the slices
     cm_low = matrix_svt(cm, lam / mu)
@@ -371,4 +429,5 @@ def enhanced_tensor_svt(t, mu, zeta, lam):
     # a vanished singular value leaves no principled direction to put
     # re-grown energy on; keep those coefficients at zero
     shrunk = np.where(cm > 0, shrunk, 0.0)
-    return _from_spectrum(rebuild(shrunk[:, : d3 // 2 + 1].T), d3)
+    rebuilt = rebuild(shrunk[:, : d3 // 2 + 1].T, out=work if d3 <= 2 else None)
+    return _from_spectrum(rebuilt, d3, out=out, packed=work)

@@ -92,6 +92,25 @@ def naive_tensor_svt(t, tau):
     return naive_idft_mode3(out).real
 
 
+def naive_enhanced_tensor_svt(t, mu, zeta, lam):
+    """Two-stage shrinkage from per-slice SVDs of the naive transform: the
+    core matrix (each spectral slice's singular values as one column) is
+    shrunk by matrix SVT at lam/mu, each of its entries then toward zero by
+    zeta/mu (entries whose singular value is 0 stay 0), and every slice is
+    rebuilt from its own singular vectors before the naive inverse."""
+    th = naive_dft_mode3(t)
+    d3 = t.shape[2]
+    factors = [np.linalg.svd(th[:, :, j], full_matrices=False) for j in range(d3)]
+    cm = np.array([s for _, s, _ in factors]).T
+    u, s, vt = np.linalg.svd(cm, full_matrices=False)
+    low = (u * np.maximum(s - lam / mu, 0.0)) @ vt
+    shrunk = np.where(cm > 0, np.sign(low) * np.maximum(np.abs(low) - zeta / mu, 0.0), 0.0)
+    out = np.zeros_like(th)
+    for j, (uj, _, vhj) in enumerate(factors):
+        out[:, :, j] = (uj * shrunk[:, j]) @ vhj
+    return naive_idft_mode3(out).real
+
+
 def svt_objective(x, m, tau):
     """tau*||X||_* + 0.5*||X - m||_F^2, the objective matrix SVT minimizes."""
     return tau * np.linalg.svd(x, compute_uv=False).sum() \
@@ -261,6 +280,23 @@ def one_hot_binary_kmeans(codes, k, max_iter=100, seed=0):
             break
         assignment = new_assignment
     return centroids, np.argmax(assignment, axis=0)
+
+
+def per_sample_kmeans_restarts(codes, k, restarts, seed):
+    """Best of the :func:`one_hot_binary_kmeans` runs with seeds seed,
+    seed+1, ... by the per-sample quantization error (4 per disagreeing
+    bit), the earliest on ties, stopping at the first run with error 0.
+    Returns (centroids, labels, error, index of the chosen run)."""
+    best = None
+    for i in range(restarts):
+        centroids, labels = one_hot_binary_kmeans(codes, k, seed=seed + i)
+        error = 4.0 * sum(hamming_count(codes[:, j], centroids[:, labels[j]])
+                          for j in range(codes.shape[1]))
+        if best is None or error < best[2]:
+            best = (centroids, labels, error, i)
+        if best[2] == 0:
+            break
+    return best
 
 
 def best_centroids_exhaustive(codes, assign, l, k):

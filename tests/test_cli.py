@@ -128,6 +128,9 @@ def test_negative_seed_is_usage_error_for_every_subcommand(capsys):
     (["synth", "--k", "2", "--n", "10"], "--dims", ",", "argument --dims: no feature dims given"),
     (["bench", "--sizes", "100"], "--dims", ",", "argument --dims: no feature dims given"),
     (["sweep", "ds"], "--alphas", ",", "argument --alphas: no alphas given"),
+    (["synth", "--n", "5"], "--k", "10", "--k: 10 exceeds --n, 5 samples"),
+    (["bench", "--sizes", "500,5", "--anchors", "5"], "--k", "10",
+     "--k: 10 exceeds the smallest --sizes entry, 5 samples"),
 ])
 def test_bad_integer_list_is_usage_error(command, flag, value, message, tmp_path, capsys):
     # rejected before anything is generated or written

@@ -289,17 +289,62 @@ def test_kmeans_fewer_distinct_codes_than_k(rng, monkeypatch):
         assert quantization_error(codes, model) == 0.0
     # the first run has error 0, which no later run can beat: stop there
     runs = []
+    run = hamming_kmeans._run
 
     def counted(*args, **kwargs):
         runs.append(1)
-        return binary_kmeans(*args, **kwargs)
+        return run(*args, **kwargs)
 
-    monkeypatch.setattr(hamming_kmeans, "binary_kmeans", counted)
+    monkeypatch.setattr(hamming_kmeans, "_run", counted)
     best = binary_kmeans_restarts(codes, 5, restarts=4, seed=3)
     assert runs == [1]
     assert best.labels.tolist() == want
     assert np.array_equal(
         best.labels, binary_kmeans_restarts(codes, 5, restarts=1, seed=3).labels)
+
+
+def test_weighted_restarts_match_per_sample_oracle(rng, monkeypatch):
+    # restarts run on the distinct codes weighted by their counts; labels,
+    # centroids, error and the chosen run must match the per-sample
+    # one-hot oracle, on codes with many repeats, including runs that
+    # reseed empty clusters and codes with fewer distinct columns than k
+    empties = []
+    step = hamming_kmeans.centroid_step
+
+    def recording(codes, labels, k, *args):
+        empties.append(np.unique(labels).size < k)
+        return step(codes, labels, k, *args)
+
+    monkeypatch.setattr(hamming_kmeans, "centroid_step", recording)
+    cases = []
+    for l, u, n, k in ((3, 6, 40, 5), (4, 9, 60, 7), (6, 12, 50, 4), (8, 5, 30, 8),
+                       (2, 3, 25, 6), (16, 20, 80, 10)):
+        patterns = random_codes(rng, l, u)
+        cases.append((patterns[:, rng.integers(0, u, size=n)], k))
+    cases.append((skewed_codes(rng), 8))
+    saw_small_u = False
+    for codes, k in cases:
+        saw_small_u |= np.unique(codes, axis=1).shape[1] < k
+        for seed in range(3):
+            centroids, labels, error, chosen = oracles.per_sample_kmeans_restarts(
+                codes, k, restarts=4, seed=seed)
+            runs = []
+            run = hamming_kmeans._run
+
+            def counted(*args):
+                runs.append(args[-1])
+                return run(*args)
+
+            monkeypatch.setattr(hamming_kmeans, "_run", counted)
+            model = binary_kmeans_restarts(codes, k, restarts=4, seed=seed)
+            monkeypatch.setattr(hamming_kmeans, "_run", run)
+            assert np.array_equal(model.centroids, centroids)
+            assert np.array_equal(model.labels, labels)
+            assert quantization_error(codes, model) == error
+            assert runs == list(range(seed, seed + (chosen + 1 if error == 0 else 4)))
+            single = binary_kmeans(codes, k, seed=seed + chosen)
+            assert np.array_equal(single.labels, labels)
+    assert saw_small_u and any(empties)
 
 
 def test_kmeans_dedupes_once_and_never_redraws(rng, monkeypatch):

@@ -696,3 +696,56 @@ def test_solve_returns_hash_codes_type(rng):
     assert codes.fused.shape == (3, 8)
     assert np.all(np.isin(codes.fused, (-1.0, 1.0)))
     assert len(codes.per_view) == 3
+
+
+def test_solve_peak_memory_in_code_blocks():
+    # the steps compute in the blocks they replace: a solve holds B, E and
+    # J plus at most one more code block (the code step's target, or the
+    # E step's two buffers) and the fused codes
+    import tracemalloc
+
+    rng = np.random.default_rng(11)
+    v, bits, n, m = 2, 64, 1600, 150
+    graphs = np.exp(-3.0 * rng.random((v, m, n)))
+    factors = gram_factors(graphs)
+    config = SolverConfig(alpha=0.01, bits=bits, zeta=0.3, max_iter=30, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        codes, history = solve(graphs, factors, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the run goes past the iterations whose E is exactly zero
+    assert codes.stop_reason == "tolerance" and len(history) > 10
+    assert peak <= 5.5 * v * bits * n * 8
+
+
+def test_solve_reports_a_shift_that_overflows_as_non_finite_block(monkeypatch):
+    # J stays finite, but J / mu overflows in the next E step: the
+    # shrinkage sees a non-finite norm and the solve names the block and
+    # iteration, with no warning and without factoring the block
+    graphs = np.random.default_rng(3).random((2, 5, 12))
+    step = solver.update_multipliers
+
+    def huge(state, gaps):
+        dual_projection, dual_code, mu = step(state, gaps)
+        dual_code[...] = 1e305
+        return dual_projection, dual_code, mu
+
+    monkeypatch.setattr(solver, "update_multipliers", huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite, match="non-finite value in aux_code at iteration 2") as info:
+            solve(graphs, gram_factors(graphs), make_config(max_iter=5))
+    assert info.value.iteration == 2
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
+def test_shrinkage_of_a_non_finite_norm_is_nan(value, rng):
+    # an Inf or NaN entry, or finite entries whose norm overflows
+    block = rng.standard_normal((2, 4, 6))
+    block[1, 2, 3] = value
+    out = np.empty_like(block)
+    got = solver.enhanced_tensor_svt(np.moveaxis(block, 0, 2), 0.5, 0.1, 0.2, out=out)
+    assert np.shares_memory(got, out) and np.isnan(out).all()

@@ -512,3 +512,37 @@ def test_enhanced_svt_monotone_over_corpus():
         nn_in = oracles.matrix_nuclear_norm(oracles.spectral_singular_values(t))
         nn_out = oracles.matrix_nuclear_norm(oracles.spectral_singular_values(out))
         assert nn_out <= nn_in + 1e-9
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 4])
+def test_enhanced_svt_zero_bound_is_exact(v, monkeypatch):
+    # every stage-two coefficient is 0 once sqrt(d3) ||t||_F - lam/mu <=
+    # zeta/mu (up to the 1e-6 margin); a tensor constant along mode 3 with
+    # rank-1 slices has one core-matrix entry, sqrt(d3) ||t||_F, so it meets
+    # the bound with equality and just above it shrinks to nonzero
+    import tenhash.tensor_ops as ops
+
+    rng = np.random.default_rng(40 + v)
+    mu, zeta, lam = 0.8, 0.3, 0.2
+    edge = (zeta + lam) / mu / (np.sqrt(v) * (1 + 1e-6))
+    rank_one = np.outer(rng.standard_normal(5), rng.standard_normal(7))
+    shapes = [np.repeat(rank_one[:, :, None], v, axis=2),
+              np.repeat(rank_one.T[:, :, None], v, axis=2),
+              rng.standard_normal((6, 4, v)), rng.standard_normal((3, 9, v))]
+    spectrum = ops._spectrum
+    for t in shapes:
+        t = t / np.linalg.norm(t)
+        monkeypatch.setattr(ops, "_spectrum", None)
+        below = enhanced_tensor_svt(t * edge * (1 - 1e-6), mu, zeta, lam)
+        monkeypatch.setattr(ops, "_spectrum", spectrum)
+        assert below.shape == t.shape
+        assert np.moveaxis(below, 2, 0).flags.c_contiguous
+        assert np.all(below == 0) and not np.signbit(below).any()
+        above = t * edge * 1.01
+        got = enhanced_tensor_svt(above, mu, zeta, lam)
+        want = oracles.naive_enhanced_tensor_svt(above, mu, zeta, lam)
+        assert np.max(np.abs(got - want)) <= 1e-9
+    # the tight case shrinks to a nonzero result just above the bound
+    tight = np.repeat(rank_one[:, :, None], v, axis=2)
+    tight *= edge * 1.01 / np.linalg.norm(tight)
+    assert np.max(np.abs(enhanced_tensor_svt(tight, mu, zeta, lam))) > 1e-3 * edge
