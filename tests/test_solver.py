@@ -739,13 +739,3 @@ def test_solve_reports_a_shift_that_overflows_as_non_finite_block(monkeypatch):
         with pytest.raises(NonFinite, match="non-finite value in aux_code at iteration 2") as info:
             solve(graphs, gram_factors(graphs), make_config(max_iter=5))
     assert info.value.iteration == 2
-
-
-@pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
-def test_shrinkage_of_a_non_finite_norm_is_nan(value, rng):
-    # an Inf or NaN entry, or finite entries whose norm overflows
-    block = rng.standard_normal((2, 4, 6))
-    block[1, 2, 3] = value
-    out = np.empty_like(block)
-    got = solver.enhanced_tensor_svt(np.moveaxis(block, 0, 2), 0.5, 0.1, 0.2, out=out)
-    assert np.shares_memory(got, out) and np.isnan(out).all()

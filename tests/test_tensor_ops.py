@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -546,3 +547,18 @@ def test_enhanced_svt_zero_bound_is_exact(v, monkeypatch):
     tight = np.repeat(rank_one[:, :, None], v, axis=2)
     tight *= edge * 1.01 / np.linalg.norm(tight)
     assert np.max(np.abs(enhanced_tensor_svt(tight, mu, zeta, lam))) > 1e-3 * edge
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
+def test_shrinkage_of_a_non_finite_norm_is_nan(value, rng):
+    # an Inf or NaN entry, or finite entries whose norm overflows, with no
+    # warning and without factoring
+    from tenhash.tensor_ops import shrink_unchecked
+
+    block = rng.standard_normal((2, 4, 6))
+    block[1, 2, 3] = value
+    out = np.empty_like(block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = shrink_unchecked(np.moveaxis(block, 0, 2), 0.5, 0.1, 0.2, out=out)
+    assert np.shares_memory(got, out) and np.isnan(out).all()
