@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +46,28 @@ class MultiViewData:
 
 
 def _parse_view_file(path):
+    """Read one view file into a float64 array with numpy's C text reader,
+    which holds no Python object per value and converts each cell with
+    the same correctly rounded conversion as ``float()``. Where the reader
+    refuses the file, finds no data or returns a NaN or Inf, the file is
+    read again line by line, which raises the typed error naming the
+    line (and column) or returns what ``float()`` accepts and the reader
+    does not (``1_0``, non-ASCII digits, whitespace-only lines)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            view = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        view = None
+    if view is not None and view.size and np.isfinite(view).all():
+        return view
+    return _parse_view_lines(path)
+
+
+def _parse_view_lines(path):
+    """The line-by-line reader behind :func:`_parse_view_file`: every
+    cell goes through ``float()``, and the first bad row or cell raises
+    RaggedRows or ParseError with its line (and column)."""
     rows = []
     linenos = []  # file line of each kept row, so blank lines do not shift positions
     width = None

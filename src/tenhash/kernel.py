@@ -40,7 +40,8 @@ def sample_anchors(n, m, seed):
 def _squared_distances(view, indices, out=None):
     """m x n matrix of squared distances from every sample of ``view`` to
     its anchor columns ``indices``, by one GEMM, written into ``out`` when
-    given.
+    given. ``view``, a float array, is centred and squared in place, so
+    the caller passes an array it owns.
 
     Forms ||x||^2 + ||s||^2 - 2 s.x after centring both operands on the
     anchors' column mean, which does not depend on sample order and
@@ -51,12 +52,12 @@ def _squared_distances(view, indices, out=None):
     """
     anchors = view.take(indices, axis=1)
     centre = anchors.mean(axis=1, keepdims=True)
-    x = view - centre
-    s = anchors - centre
-    out = np.matmul(s.T, x, out=out)
+    view -= centre
+    anchors -= centre
+    out = np.matmul(anchors.T, view, out=out)
     out *= -2.0
-    out += np.square(x).sum(axis=0)
-    out += np.square(s).sum(axis=0)[:, None]
+    out += np.square(view, out=view).sum(axis=0)
+    out += np.square(anchors, out=anchors).sum(axis=0)[:, None]
     np.maximum(out, 0.0, out=out)
     out[np.arange(len(indices)), indices] = 0.0
     return out
@@ -119,7 +120,9 @@ def standardize_features(view):
         feature = int(np.argmin(finite)) + 1
         raise NonFiniteInput(f"feature {feature}: its spread overflows", feature=feature)
     std[std == 0] = 1.0
-    return (view - mean) / std
+    out = view - mean
+    out /= std
+    return out
 
 
 def kernelize_views(views, m, seed, standardize=True):
@@ -132,7 +135,9 @@ def kernelize_views(views, m, seed, standardize=True):
     slot of the stack, :func:`estimate_bandwidth` takes its mean, and
     :func:`kernelize` turns it into the graph in place. Each view is taken
     in C order, so a graph depends on the view's values, not its memory
-    layout.
+    layout. The views are never written: the distances centre and square
+    the standardized copy in place, or a copy of a view that is not
+    standardized.
 
     An empty view list is rejected with InconsistentSampleCounts, a view
     that is not 2-D with DimensionMismatch, views holding NaN or Inf with
@@ -154,7 +159,7 @@ def kernelize_views(views, m, seed, standardize=True):
     graphs = np.empty((len(views), m, n))
     for p, (view, graph) in enumerate(zip(views, graphs), start=1):
         try:
-            prepared = standardize_features(view) if standardize else view
+            prepared = standardize_features(view) if standardize else view.copy()
         except NonFiniteInput as exc:
             raise NonFiniteInput(f"view {p}: {exc}", view=p, feature=exc.feature) from None
         # an overflow leaves an inf or NaN bandwidth, rejected below

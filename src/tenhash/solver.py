@@ -353,11 +353,14 @@ def solve(graphs, factors, config, trace=False):
         state.aux_projection = update_aux_projection(
             state, config, out=state.aux_projection, work=old_projections)
         state.aux_code = update_aux_code(state, config, out=state.aux_code, work=old_codes)
-        _check_finite(state, it, ("aux_projection", "aux_code"))
         # each difference gives its residual norm, then becomes its
         # multiplier in place
         gaps = _primal_gaps(state, out=(old_projections, old_codes))
         res_q, res_b = (float(np.linalg.norm(gap)) for gap in gaps)
+        # a shrinkage result is finite when its input norm is, and all NaN
+        # when not, which makes its residual NaN: only then are they scanned
+        if not np.isfinite(res_q + res_b):
+            _check_finite(state, it, ("aux_projection", "aux_code"))
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
             state, gaps
         )

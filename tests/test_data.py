@@ -117,6 +117,63 @@ def test_load_rejects_malformed_meta(tmp_path, meta):
     assert "meta.json" in str(info.value)
 
 
+# the C reader's edge cases: each either loads as the line reader would or
+# falls back to it, which names the file and line; neither may warn
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, want", [
+    ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1.5,-2,3e2\n", [[1.5, -2.0, 300.0]]),
+    ("1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+    ("1_0,2\n", [[10.0, 2.0]]),
+], ids=["crlf", "whitespace-line", "single-row", "single-column", "underscore"])
+def test_load_view_edge_cases(tmp_path, text, want):
+    (tmp_path / "view_1.csv").write_bytes(text.encode())
+    view = load_multiview(tmp_path).views[0]
+    assert view.dtype == np.float64
+    assert view.tolist() == want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, line", [
+    ("# comment\n1,2\n", 1),
+    ("\n1,2,\n3,4,\n", 2),
+], ids=["comment", "trailing-comma"])
+def test_load_rejects_unreadable_cell_naming_line(tmp_path, text, line):
+    (tmp_path / "view_1.csv").write_text(text)
+    with pytest.raises(ParseError, match=f"view_1.csv: line {line}: ") as info:
+        load_multiview(tmp_path)
+    assert info.value.line == line
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n\n  \n"], ids=["empty", "blank-lines"])
+def test_load_rejects_view_without_values(tmp_path, text):
+    (tmp_path / "view_1.csv").write_text(text)
+    with pytest.raises(ParseError, match="view_1.csv: file is empty$"):
+        load_multiview(tmp_path)
+
+
+def test_load_peak_memory_within_twice_the_view(tmp_path):
+    # the reader holds no Python float per value, so loading a view takes
+    # little more than the array it returns
+    import tracemalloc
+
+    view = np.random.default_rng(2).standard_normal((50, 2000))
+    save_multiview(MultiViewData(views=[view], labels=None, name="x"), tmp_path / "ds")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_multiview(tmp_path / "ds")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert loaded.views[0].tobytes() == view.tobytes()
+    assert peak <= 2 * view.nbytes
+
+
 # ---------------------------------------------------------------------------
 # saving
 
@@ -130,6 +187,20 @@ def test_save_load_round_trip_exact(tmp_path):
     assert loaded.labels.tolist() == data.labels.tolist()
     for a, b in zip(loaded.views, data.views):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_save_load_round_trip_is_byte_identical(tmp_path):
+    # signed zero, subnormals and the extremes read back to the same bits
+    scales = np.array([[1e-150], [1.0], [1e150]])
+    view = np.random.default_rng(4).standard_normal((3, 40)) * scales
+    view[:, 0] = [-0.0, 5e-324, -2.2250738585072014e-308]
+    view[:, 1] = [np.finfo(float).max, -np.finfo(float).max, 0.1]
+    out = tmp_path / "ds"
+    save_multiview(MultiViewData(views=[view, view[::-1].copy()], labels=None, name="x"), out)
+    for got, want in zip(load_multiview(out).views, (view, view[::-1])):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_save_without_labels_omits_file(tmp_path):

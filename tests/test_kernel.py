@@ -26,9 +26,10 @@ from tenhash.kernel import (
 
 def distances_and_indices(view, m, seed):
     """The squared distances of ``view`` to the m anchors sample_anchors
-    draws for it, and their sample indices."""
+    draws for it, and their sample indices. The distances are formed in a
+    copy, since they overwrite the array they are given."""
     indices = sample_anchors(view.shape[1], m, seed)
-    return kernel._squared_distances(view, indices), indices
+    return kernel._squared_distances(view.copy(), indices), indices
 
 
 def test_sample_anchors_all_samples():
@@ -299,6 +300,29 @@ def test_permutation_equivariance(rng):
     inv = np.argsort(perm)
     permuted = kernel._squared_distances(view[:, perm], inv[indices])
     assert np.array_equal(permuted, sqdist[:, perm])
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_kernelize_views_peak_memory_and_views_untouched(standardize):
+    # each view's distances are centred and squared in the one array
+    # kernelize_views owns for it (the standardized view, or a copy), so
+    # above the graphs it holds at most two views of the largest size;
+    # the caller's views are never written
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    views = [rng.standard_normal((d, 800)) for d in (400, 50, 10)]
+    copies = [view.copy() for view in views]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        graphs = kernelize_views(views, 300, seed=0, standardize=standardize)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= graphs.nbytes + 2 * views[0].nbytes
+    for view, copy in zip(views, copies):
+        assert view.tobytes() == copy.tobytes()
 
 
 def test_determinism(rng):

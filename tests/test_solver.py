@@ -721,21 +721,23 @@ def test_solve_peak_memory_in_code_blocks():
     assert peak <= 5.5 * v * bits * n * 8
 
 
-def test_solve_reports_a_shift_that_overflows_as_non_finite_block(monkeypatch):
-    # J stays finite, but J / mu overflows in the next E step: the
-    # shrinkage sees a non-finite norm and the solve names the block and
+@pytest.mark.parametrize("block", ["aux_projection", "aux_code"])
+def test_solve_reports_a_shift_that_overflows_as_non_finite_block(monkeypatch, block):
+    # the multiplier stays finite, but multiplier / mu overflows in the
+    # next shrinkage step: the shrinkage sees a non-finite norm, its NaN
+    # result makes the residual NaN, and the solve names the block and
     # iteration, with no warning and without factoring the block
     graphs = np.random.default_rng(3).random((2, 5, 12))
     step = solver.update_multipliers
 
     def huge(state, gaps):
         dual_projection, dual_code, mu = step(state, gaps)
-        dual_code[...] = 1e305
+        {"aux_projection": dual_projection, "aux_code": dual_code}[block][...] = 1e305
         return dual_projection, dual_code, mu
 
     monkeypatch.setattr(solver, "update_multipliers", huge)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFinite, match="non-finite value in aux_code at iteration 2") as info:
+        with pytest.raises(NonFinite, match=f"non-finite value in {block} at iteration 2") as info:
             solve(graphs, gram_factors(graphs), make_config(max_iter=5))
     assert info.value.iteration == 2
