@@ -39,11 +39,8 @@ from .solver import (
     solve,
 )
 from .tensor_ops import (
-    TSvd,
     enhanced_tensor_nuclear_norm,
     enhanced_tensor_svt,
-    extract_core_matrix,
-    fold_core_matrix,
     matrix_svt,
     t_product,
     t_svd,

@@ -29,6 +29,10 @@ from .exceptions import (
 
 _VIEW_RE = re.compile(r"^view_(\d+)\.csv$")
 
+# the ASCII file, group, record and unit separators: str.isspace() accepts
+# them, so numpy's reader strips them around a cell, and float() does not
+_SEPARATORS = tuple(bytes([c]) for c in range(0x1C, 0x20))
+
 
 @dataclass
 class MultiViewData:
@@ -52,7 +56,11 @@ def _parse_view_file(path):
     refuses the file, finds no data or returns a NaN or Inf, the file is
     read again line by line, which raises the typed error naming the
     line (and column) or returns what ``float()`` accepts and the reader
-    does not (``1_0``, non-ASCII digits, whitespace-only lines)."""
+    does not (``1_0``, non-ASCII digits, whitespace-only lines). A file
+    holding an ASCII separator byte (0x1c to 0x1f) goes to the line loop
+    straight away, since the reader would strip one around a cell."""
+    if _has_separators(path):
+        return _parse_view_lines(path)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -62,6 +70,16 @@ def _parse_view_file(path):
     if view is not None and view.size and np.isfinite(view).all():
         return view
     return _parse_view_lines(path)
+
+
+def _has_separators(path, chunk=1 << 18):
+    """Whether the file holds one of the bytes in _SEPARATORS, scanned in
+    chunks so that no copy of the whole file is held."""
+    with open(path, "rb") as fh:
+        while block := fh.read(chunk):
+            if any(sep in block for sep in _SEPARATORS):
+                return True
+    return False
 
 
 def _parse_view_lines(path):

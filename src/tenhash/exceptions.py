@@ -13,12 +13,6 @@ class DimensionMismatch(TenhashError, ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class ConjugateSymmetryViolation(TenhashError, ValueError):
-    """A core matrix to fold is not conjugate-symmetric across its
-    columns, so the folded tensor would have a non-trivial imaginary
-    part."""
-
-
 class SvdNonConvergence(TenhashError, RuntimeError):
     """The underlying SVD backend failed to converge."""
 

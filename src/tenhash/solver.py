@@ -168,14 +168,21 @@ def gram_factors(graphs):
     The factors serve every projection step from the first on, so a
     non-finite Gram matrix is reported as :class:`NonFinite` at
     iteration 1, before ``eigh`` fails on it.
+
+    The views are factored one at a time, into the two result arrays: a
+    batched ``eigh`` would hold the v x m x m Gram stack beside its own
+    v x m x m result, a transient that can set the memory high-water mark
+    of a whole clustering.
     """
     graphs = _graph_stack(graphs)
-    gram = graphs @ graphs.mT
-    finite = np.isfinite(gram).all(axis=(1, 2))
-    if not finite.all():
-        view = int(np.argmin(finite)) + 1
-        raise NonFinite(f"non-finite Gram matrix of view {view}", iteration=1)
-    return np.linalg.eigh(gram)
+    v, m, _ = graphs.shape
+    values, basis = np.empty((v, m)), np.empty((v, m, m))
+    for p, phi in enumerate(graphs):
+        gram = phi @ phi.T
+        if not np.isfinite(gram).all():
+            raise NonFinite(f"non-finite Gram matrix of view {p + 1}", iteration=1)
+        values[p], basis[p] = np.linalg.eigh(gram)
+    return values, basis
 
 
 def update_projections(state, graph_codes, config, factors):

@@ -2,23 +2,32 @@
 
 A third-order tensor is a real d1 x d2 x d3 ndarray. All products and
 decompositions here are defined slice-wise after a DFT along the third
-mode: the t-product, t-SVD, tensor nuclear norm, the core-matrix view of
-the t-SVD core, and the shrinkage (proximal) operators built on them.
+mode: the t-product, t-SVD, tensor nuclear norm, and the shrinkage
+(proximal) operators built on them.
 
-Every operator goes through one spectral path. The spectrum of a real
-tensor is conjugate-symmetric along mode 3, so only its d3//2+1
-independent slices are computed, as one contiguous stack that batched
-``numpy.linalg`` calls factor at once. The transform is one product with
-the real DFT matrix of length d3 (built once per d3, exact at quarter
-turns) over the tensor's d3 x (d1*d2) view-major matrix, and the inverse
-one product with its inverse: mode 3 is the short view axis, where the
-d3^2 multiply-adds per entry cost less than an FFT over a strided axis.
-For d3 <= 2 every independent slice is real and the matrices hold only
-0, +-1 and +-1/2, so the spectrum is exactly the slice (d3 = 1) or the sum
-and the difference of the two slices (d3 = 2) and the factorizations run
-in real arithmetic. For d3 >= 3 the stack is complex and agrees with an
-FFT to rounding level. No FFT runs anywhere: a caller who wants the full
-complex spectrum of a tensor calls ``numpy.fft.fft(t, axis=2)``.
+Every operator goes through one spectral path, in real arithmetic. The
+spectrum of a real tensor is conjugate-symmetric along mode 3, so d3 real
+d1 x d2 slices hold all of it, packed into one contiguous d3 x d1 x d2
+array: rows 0..h-1 (h = d3//2+1) are the real parts of the independent
+spectral slices 0..h-1, and rows h..d3-1 the imaginary parts of slices
+1..d3-h, the only ones that have one. The packing is one product of the
+real DFT matrix of length d3 (built once per d3, exact at quarter turns)
+with the tensor's d3 x (d1*d2) view-major matrix, and the inverse one
+product with its inverse: mode 3 is the short view axis, where the d3^2
+multiply-adds per entry cost less than an FFT over a strided axis. For
+d3 <= 2 the matrices hold only 0, +-1 and +-1/2, so the packing is exactly
+the slice (d3 = 1) or the sum and the difference of the two slices
+(d3 = 2); for d3 >= 3 it agrees with an FFT to rounding level. No FFT
+runs anywhere: a caller who wants the full complex spectrum of a tensor
+calls ``numpy.fft.fft(t, axis=2)``.
+
+Slice 0, and slice d3/2 for even d3, are their own conjugates, hence
+real, and are factored in real arithmetic. Every other independent slice
+R + iI is factored through its Hermitian Gram matrix
+RR^T + II^T + i(IR^T - RI^T), formed from real products: complex numbers
+appear only in that short-side square matrix and its eigendecomposition,
+and a rebuild writes the real and imaginary parts of each slice straight
+into the rows of a packing.
 
 Slice singular values come from one factorization, the eigendecomposition
 of the Gram matrix of the slices' short side (BLAS-3 work linear in the
@@ -33,18 +42,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (
-    ConjugateSymmetryViolation,
-    DimensionMismatch,
-    SvdNonConvergence,
-)
+from .exceptions import DimensionMismatch, SvdNonConvergence
 
 # relative cutoff below which t_svd and matrix_svt singular values are zero
 RANK_TOL = 1e-12
-
-# antisymmetric part above this fraction of its norm means a core matrix
-# would not fold into a real tensor
-IMAG_TOL = 1e-8
 
 
 class TSvd(NamedTuple):
@@ -114,53 +115,46 @@ def _dft_matrices(d3):
     return forward, inverse
 
 
+def _rows(d3):
+    """Where a packing of depth d3 keeps its slices: three basic slices of
+    its first axis, for the real slices (0, and d3/2 for even d3), the
+    real parts of the complex slices 1..d3-h and their imaginary parts.
+    The first two also pick those slices out of a per-slice array of the
+    d3//2+1 independent slices in slice order."""
+    h = d3 // 2 + 1
+    real = slice(0, h, h - 1) if d3 % 2 == 0 else slice(0, 1)
+    return real, slice(1, d3 - h + 1), slice(h, d3)
+
+
 def _spectrum(t, out=None):
-    """The d3//2+1 independent spectral slices of a real tensor, as a
-    contiguous (d3//2+1) x d1 x d2 stack (batched matrix products on
-    non-contiguous stacks fall off BLAS); real for d3 <= 2, complex
-    otherwise.
+    """The packed spectrum of a real tensor: a contiguous d3 x d1 x d2
+    float array laid out as :func:`_rows` says (``out`` if given, which is
+    not ``t``'s memory).
 
     One product of the real DFT matrix with the view-major d3 x (d1*d2)
     reshape of ``t``; that reshape is free when ``t`` is the mode-3 view of
-    a contiguous view-major block, and a copy otherwise. The product goes
-    into ``out`` (a contiguous d3 x d1 x d2 float array, not ``t``'s
-    memory) if given, which for d3 <= 2 is then the stack itself.
+    a contiguous view-major block, and a copy otherwise.
     """
     d1, d2, d3 = t.shape
-    h = d3 // 2 + 1
     if out is None:
         out = np.empty((d3, d1, d2))
-    packed = out.reshape(d3, d1 * d2)
-    np.matmul(_dft_matrices(d3)[0], np.moveaxis(t, 2, 0).reshape(d3, d1 * d2), out=packed)
-    if d3 <= 2:
-        return out
-    stack = np.zeros((h, d1 * d2), dtype=complex)
-    stack.real = packed[:h]
-    stack.imag[1 : d3 - h + 1] = packed[h:]
-    return stack.reshape(h, d1, d2)
+    np.matmul(_dft_matrices(d3)[0], np.moveaxis(t, 2, 0).reshape(d3, d1 * d2),
+              out=out.reshape(d3, d1 * d2))
+    return out
 
 
-def _from_spectrum(stack, d3, out=None, packed=None):
-    """Real d1 x d2 x d3 tensor whose independent spectral slices are
-    ``stack`` (inverse of :func:`_spectrum`); the mirrored slices are
-    their conjugates by construction.
+def _from_spectrum(packed, out=None):
+    """Real d1 x d2 x d3 tensor whose packed spectrum is ``packed``, a
+    contiguous d3 x d1 x d2 float array (inverse of :func:`_spectrum`).
 
-    One product of the inverse real DFT matrix with the packed spectrum,
-    written into a contiguous view-major d3 x d1 x d2 array (``out`` if
-    given, else a new one); the result is its mode-3 view. For d3 >= 3 the
-    complex stack is first packed into real parts and imaginary parts, in
-    ``packed`` (another such array) if given.
+    One product of the inverse real DFT matrix with the packing, written
+    into a contiguous view-major d3 x d1 x d2 array (``out`` if given, else
+    a new one); the result is its mode-3 view.
     """
-    h, d1, d2 = stack.shape
-    if d3 >= 3:
-        if packed is None:
-            packed = np.empty((d3, d1, d2))
-        packed[:h] = stack.real
-        packed[h:] = stack.imag[1 : d3 - h + 1]
-        stack = packed
+    d3, d1, d2 = packed.shape
     if out is None:
         out = np.empty((d3, d1, d2))
-    np.matmul(_dft_matrices(d3)[1], stack.reshape(d3, d1 * d2), out=out.reshape(d3, d1 * d2))
+    np.matmul(_dft_matrices(d3)[1], packed.reshape(d3, d1 * d2), out=out.reshape(d3, d1 * d2))
     return np.moveaxis(out, 0, 2)
 
 
@@ -171,31 +165,52 @@ def _all_slices(half, d3):
     return half[..., np.minimum(j, d3 - j)]
 
 
-def _factor(stack, vectors=True):
-    """Singular values of every slice of a spectral stack, and a rebuild.
+def _factor(packed, vectors=True):
+    """Singular values of every independent slice of a packed spectrum,
+    and a rebuild.
 
-    Returns ``(s, rebuild)``: ``s`` is (slices, min(d1, d2)), each row
-    non-increasing and zero below the rounding floor; ``rebuild(coeff)``
-    returns the stack with those singular values replaced by the real
-    ``coeff`` of the same shape, written into ``out`` if given (an array
-    of the stack's shape and type that is not the stack). With
-    ``vectors=False`` no eigenvectors are computed and ``rebuild`` is
-    None.
+    Returns ``(s, rebuild)``: ``s`` is (d3//2+1, min(d1, d2)), row j for
+    slice j, each row non-increasing and zero below the rounding floor;
+    ``rebuild(coeff)`` returns the packing with those singular values
+    replaced by the real ``coeff`` of the same shape, written into ``out``
+    if given (a contiguous array of the packing's shape that is not the
+    packing). Once it has read the packing's rows of the complex slices'
+    real parts it uses them as scratch, so it runs once per packing and
+    leaves those rows overwritten. With ``vectors=False`` no eigenvectors
+    are computed and ``rebuild`` is None.
 
-    The rebuild forms, per slice, the short-side square matrix
-    P = basis diag(coeff / s) basis^H and applies it to the slice in one
-    product, in place of two products with the basis over the long side.
-    It agrees with the two-product form to rounding level.
+    The real slices are factored in real arithmetic, the complex slices
+    R + iI through their Hermitian Gram matrices, formed from real
+    products. The rebuild forms, per slice, the short-side square matrix
+    P = basis diag(coeff / s) basis^H and applies it to the slice: P X for
+    a real slice, and P_r R - P_i I and P_r I + P_i R for the real and
+    imaginary parts of a complex one, each written into its row of the
+    result. That is one product with P in place of two with the basis over
+    the long side, and agrees with the two-product form to rounding level.
     """
-    _, d1, d2 = stack.shape
+    d3, d1, d2 = packed.shape
+    real, re, im = _rows(d3)
     long = max(d1, d2)
-    # work on the wide orientation: a tall stack is handled through its
+    # work on the wide orientation: a tall packing is handled through its
     # slice transposes, whose singular values and vectors mirror its own
     tall = d1 > d2
-    wide = stack.mT if tall else stack
-    gram = wide @ wide.conj().mT
+    wide = packed.mT if tall else packed
+    own = wide[real]
+    grams = [(real, own @ own.mT)]
+    if d3 >= 3:
+        # (R + iI)(R + iI)^H
+        r, i = wide[re], wide[im]
+        cross = i @ r.mT
+        grams.append((re, r @ r.mT + i @ i.mT + 1j * (cross - cross.mT)))
+    vals = np.empty((d3 // 2 + 1, min(d1, d2)))
+    bases = []
     try:
-        vals, basis = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+        for rows, gram in grams:
+            if vectors:
+                vals[rows], basis = np.linalg.eigh(gram)
+                bases.append((rows, basis[:, :, ::-1]))
+            else:
+                vals[rows] = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise SvdNonConvergence(str(exc)) from exc
     vals = vals[:, ::-1]
@@ -203,17 +218,28 @@ def _factor(stack, vectors=True):
     s = np.sqrt(vals)
     if not vectors:
         return s, None
-    basis = basis[:, :, ::-1]
+
+    def apply(p, x, out):
+        # a tall packing's slices take P from the right: (P X^T)^T = X P^T
+        return np.matmul(x, p.mT, out=out) if tall else np.matmul(p, x, out=out)
 
     def rebuild(coeff, out=None):
+        if out is None:
+            out = np.empty_like(packed)
         # the slice itself is reused, so spurious null-space directions
         # of the Gram matrix self-cancel
         ratio = np.divide(coeff, s, out=np.zeros_like(coeff), where=s > 0)
-        projector = (basis * ratio[:, None, :]) @ basis.conj().mT
-        # a tall stack's slices take P from the right: (P X^T)^T = X P^T
-        if tall:
-            return np.matmul(stack, projector.mT, out=out)
-        return np.matmul(projector, stack, out=out)
+        proj = [(basis * ratio[rows][:, None, :]) @ basis.conj().mT for rows, basis in bases]
+        apply(proj[0], packed[real], out[real])
+        if d3 >= 3:
+            p_r, p_i = np.ascontiguousarray(proj[1].real), np.ascontiguousarray(proj[1].imag)
+            r, i, out_r, out_i = packed[re], packed[im], out[re], out[im]
+            apply(p_r, r, out_r)
+            apply(p_i, r, out_i)
+            # R is read by now, so its rows hold P_i I, then P_r I
+            out_r -= apply(p_i, i, r)
+            out_i += apply(p_r, i, r)
+        return out
 
     return s, rebuild
 
@@ -238,7 +264,15 @@ def t_product(a, b):
         raise DimensionMismatch(
             f"cannot t-multiply shapes {a.shape} and {b.shape}"
         )
-    return _from_spectrum(_spectrum(a) @ _spectrum(b), a.shape[2])
+    d3 = a.shape[2]
+    real, re, im = _rows(d3)
+    pa, pb = _spectrum(a), _spectrum(b)
+    out = np.empty((d3, a.shape[0], b.shape[1]))
+    np.matmul(pa[real], pb[real], out=out[real])
+    # (R_a + i I_a)(R_b + i I_b), in real products
+    out[re] = pa[re] @ pb[re] - pa[im] @ pb[im]
+    out[im] = pa[re] @ pb[im] + pa[im] @ pb[re]
+    return _from_spectrum(out)
 
 
 def t_svd(t):
@@ -246,17 +280,30 @@ def t_svd(t):
 
     Returns :class:`TSvd` factors with
     ``t_product(U, t_product(S, t_transpose(V)))`` reconstructing ``t``.
-    Spectral singular values are sorted non-increasing within each slice.
-    Only the first d3//2+1 spectral slices are decomposed; the rest
-    follow from conjugate symmetry of the real input.
+    Spectral singular values are sorted non-increasing within each slice
+    and sit on the diagonal of S's spectral slices. Only the first d3//2+1
+    spectral slices are decomposed; the rest follow from conjugate
+    symmetry of the real input.
     """
     t = _as_tensor3(t)
     d1, d2, d3 = t.shape
-    u, s, vh = _svd(_spectrum(t), full_matrices=True)
+    real, re, im = _rows(d3)
+    packed = _spectrum(t)
+    u_r, s_r, vh_r = _svd(packed[real], full_matrices=True)
+    u_c, s_c, vh_c = _svd(packed[re] + 1j * packed[im], full_matrices=True)
+
+    def pack(real_slices, complex_slices):
+        out = np.empty((d3, *real_slices.shape[1:]))
+        out[real], out[re], out[im] = real_slices, complex_slices.real, complex_slices.imag
+        return out
+
+    core = np.zeros((d3, d1, d2))
+    diag = np.arange(min(d1, d2))
+    core[real, diag, diag], core[re, diag, diag] = _clean_singvals(s_r), _clean_singvals(s_c)
     return TSvd(
-        U=_from_spectrum(u, d3),
-        S=fold_core_matrix(_all_slices(_clean_singvals(s).T, d3), d1, d2, d3),
-        V=_from_spectrum(vh.conj().mT, d3),
+        U=_from_spectrum(pack(u_r, u_c)),
+        S=_from_spectrum(core),
+        V=_from_spectrum(pack(vh_r.mT, vh_c.conj().mT)),
     )
 
 
@@ -269,8 +316,8 @@ def tensor_nuclear_norm(t):
 
 
 def enhanced_tensor_nuclear_norm(t, zeta):
-    """Nuclear norm of the core matrix plus zeta times the tensor
-    nuclear norm of ``t``."""
+    """Nuclear norm of the core matrix (column j the singular values of
+    spectral slice j) plus zeta times the tensor nuclear norm of ``t``."""
     # every comparison with NaN is False, so NaN is rejected too
     if not 0 <= zeta:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
@@ -278,51 +325,6 @@ def enhanced_tensor_nuclear_norm(t, zeta):
     s, _ = _factor(_spectrum(t), vectors=False)
     cm = _all_slices(s.T, t.shape[2])
     return float(_svd(cm, compute_uv=False).sum() + zeta * cm.sum() / t.shape[2])
-
-
-def extract_core_matrix(factors):
-    """Map the f-diagonal core tensor to its D x d3 singular-value matrix.
-
-    Entry (i, j) is the i-th diagonal entry of the j-th spectral slice of
-    S, with D = min(d1, d2). Accepts either :class:`TSvd` factors or the
-    core tensor itself.
-    """
-    s = factors.S if isinstance(factors, TSvd) else factors
-    s = _as_tensor3(s, "core tensor")
-    diag = np.diagonal(_spectrum(s), axis1=1, axis2=2).real
-    return np.maximum(_all_slices(diag.T, s.shape[2]), 0.0)
-
-
-def fold_core_matrix(cm, d1, d2, d3):
-    """Inverse of :func:`extract_core_matrix`: build the f-diagonal
-    d1 x d2 x d3 core tensor whose spectral slice j has column j of ``cm``
-    on its diagonal.
-
-    Raises
-    ------
-    ConjugateSymmetryViolation
-        If columns j and d3 - j of ``cm`` differ by more than IMAG_TOL of
-        its norm (the folded tensor would not be real).
-    """
-    cm = np.asarray(cm, dtype=float)
-    dmin = min(d1, d2)
-    if cm.shape != (dmin, d3):
-        raise DimensionMismatch(
-            f"core matrix shape {cm.shape} incompatible with target "
-            f"({d1}, {d2}, {d3}); expected ({dmin}, {d3})"
-        )
-    # the antisymmetric part of cm is what would become the imaginary
-    # residue of the folded tensor, at the same fraction of its norm
-    imag = np.linalg.norm(cm - cm[:, -np.arange(d3)]) / 2
-    total = np.linalg.norm(cm)
-    if imag > IMAG_TOL * total:
-        raise ConjugateSymmetryViolation(
-            f"imaginary residue {imag:.3e} exceeds {IMAG_TOL:g} of norm {total:.3e}"
-        )
-    sh = np.zeros((d3 // 2 + 1, d1, d2))
-    idx = np.arange(dmin)
-    sh[:, idx, idx] = cm[:, : d3 // 2 + 1].T
-    return _from_spectrum(sh, d3)
 
 
 def matrix_svt(m, tau):
@@ -351,28 +353,28 @@ def tensor_svt(t, tau):
         raise ValueError(f"threshold must be >= 0, got {tau}")
     t = _as_tensor3(t)
     s, rebuild = _factor(_spectrum(t))
-    return _from_spectrum(rebuild(np.maximum(s - tau, 0.0)), t.shape[2])
+    return _from_spectrum(rebuild(np.maximum(s - tau, 0.0)))
 
 
 def enhanced_tensor_svt(t, mu, zeta, lam):
     """Two-stage shrinkage behind the enhanced tensor nuclear norm.
 
-    Stage one decomposes ``t``, extracts the core matrix and applies
+    Stage one factors every spectral slice of ``t``, gathers the singular
+    values into the core matrix (column j for slice j) and applies
     :func:`matrix_svt` with threshold ``lam/mu``, forcing the core matrix
-    itself to be low rank. Stage two folds the shrunk core back, rebuilds
-    the tensor through the t-product with the original orthogonal
-    factors, and applies :func:`tensor_svt` with threshold ``zeta/mu``.
+    itself to be low rank. Stage two rebuilds every slice from its own
+    singular vectors with the shrunk core column as its singular values,
+    and applies :func:`tensor_svt` with threshold ``zeta/mu``, which
+    shrinks each core entry toward zero by ``zeta/mu``.
 
     With ``lam == zeta == 0`` both stages are the identity and the input
     is returned unchanged.
 
-    Works on the spectral slices with economy factorizations, which is
-    algebraically identical to composing the public operations
-    (decompose, extract, shrink, fold, rebuild, shrink) but never forms
-    the full square orthogonal factors. The work is done by
-    :func:`shrink_unchecked`, which returns zeros without factoring when
-    the norm of ``t`` shows the result is 0, and all NaN when that norm
-    overflows.
+    Works on the spectral slices with economy factorizations and never
+    forms the full square orthogonal factors of a t-SVD. The work is done
+    by :func:`shrink_unchecked`, which returns zeros without factoring
+    when the norm of ``t`` shows the result is 0, and all NaN when that
+    norm overflows.
     """
     if not 0 < mu:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -390,9 +392,10 @@ def shrink_unchecked(t, mu, zeta, lam, out=None, work=None):
     ``zeta, lam >= 0`` not both 0). The result is written into ``out``, a
     contiguous d3 x d1 x d2 float array, else into a new one, and returned
     as its mode-3 view. ``work``, another such array, holds the rebuilt
-    spectrum if given; ``t`` may be the mode-3 view of ``work`` (it is read
-    before either array is written) but not of ``out``. With both buffers
-    the call allocates no array of t's size for d3 <= 2.
+    packed spectrum if given; ``t`` may be the mode-3 view of ``work`` (it
+    is read before either array is written) but not of ``out``. With both
+    buffers the call allocates no array of t's size, real or complex, for
+    any d3.
 
     A tensor whose Frobenius norm is not finite (a NaN or Inf entry, or
     one so large its square overflows) shrinks to all NaN, so the caller's
@@ -417,8 +420,8 @@ def shrink_unchecked(t, mu, zeta, lam, out=None, work=None):
     if np.sqrt(d3) * norm * (1 + 1e-6) - lam / mu <= zeta / mu:
         out.fill(0.0)
         return np.moveaxis(out, 0, 2)
-    # the spectrum is taken into out, the rebuilt spectrum into work (for
-    # d3 >= 3, its real packing), and the result into out again
+    # the packed spectrum is taken into out, rebuilt into work, and
+    # transformed back into out
     s, rebuild = _factor(_spectrum(t, out=out))
     cm = _all_slices(s.T, d3)
     # stage one: global SVT on the core matrix couples the slices
@@ -429,5 +432,4 @@ def shrink_unchecked(t, mu, zeta, lam, out=None, work=None):
     # a vanished singular value leaves no principled direction to put
     # re-grown energy on; keep those coefficients at zero
     shrunk = np.where(cm > 0, shrunk, 0.0)
-    rebuilt = rebuild(shrunk[:, : d3 // 2 + 1].T, out=work if d3 <= 2 else None)
-    return _from_spectrum(rebuilt, d3, out=out, packed=work)
+    return _from_spectrum(rebuild(shrunk[:, : d3 // 2 + 1].T, out=work), out=out)

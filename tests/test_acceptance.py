@@ -99,7 +99,7 @@ def test_criterion_1_tensor_algebra_oracles():
     worst_recon = worst_tnn = worst_svt = worst_round = 0.0
     for i, t in enumerate(random_tensor_corpus(100, dmax=8, seed=7)):
         worst_round = max(
-            worst_round, rel_err(_from_spectrum(_spectrum(t), t.shape[2]), t)
+            worst_round, rel_err(_from_spectrum(_spectrum(t)), t)
         )
         factors = t_svd(t)
         recon = t_product(factors.U, t_product(factors.S, t_transpose(factors.V)))

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from tenhash import cli
 from tenhash.cli import build_parser, main
-from tenhash.data import MultiViewData, load_multiview, save_multiview
+from tenhash.data import MultiViewData, gen_gaussian_clusters, load_multiview, save_multiview
 
 PROTOCOL = [
     "--anchors", "100", "--bits", "16", "--alpha", "0.01", "--zeta", "0.3",
@@ -306,6 +306,38 @@ def test_cluster_reports_stop_reason(tmp_path):
         report = json.loads(report_path.read_text())
         assert report["stop_reason"] == reason
         assert report["iterations"] == iterations
+
+
+# three to five views give complex spectral slices (slices 1..v-h of the
+# mode-3 transform); the labels, iteration counts, flips per iteration and
+# stop reasons below were recorded before those slices were factored from
+# the real packing, and hold traced and untraced
+PINNED_VIEWS = {
+    3: ((12, 6, 3), 5,
+        "333333333333333333333333333333222223222222222222222222222232"
+        "011100100111111101001010011111033333330000000330303003300033",
+        [19, 19, 18, 38, 63, 122, 260, 431, 177, 73, 14, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
+    4: ((8, 8, 5, 3), 6,
+        "333333333333333333333333333333222222222220222202222222222222"
+        "111111111111111111111111011111000000000000000000000000000000",
+        [31, 30, 42, 45, 62, 121, 231, 372, 248, 95, 28, 6, 1, 0, 0, 0, 0, 0, 0]),
+    5: ((10, 6, 6, 4, 3), 7,
+        "000000000000000000000000000000111111111111111111111111111111"
+        "222222222222222222222222222222222222222222222222222222222222",
+        [50, 37, 50, 55, 83, 159, 304, 375, 239, 88, 24, 1, 0, 0, 0, 0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("views", sorted(PINNED_VIEWS))
+def test_pipeline_pinned_with_three_to_five_views(views, trace):
+    dims, seed, labels, flips = PINNED_VIEWS[views]
+    data = gen_gaussian_clusters(k=4, v=views, n=120, dims=dims, sep=4.0, seed=seed)
+    codes, history, pred, _ = cli._pipeline(
+        data, 90, 16, 0.01, 0.3, 4, 0, 100, 1e-6, True, trace=trace)
+    assert "".join(map(str, pred)) == labels
+    assert [r.bits_flipped for r in history] == flips
+    assert codes.stop_reason == "tolerance"
 
 
 def test_cluster_labels_out_roundtrips_through_eval(tmp_path, capsys):

@@ -140,7 +140,10 @@ def test_load_view_edge_cases(tmp_path, text, want):
 @pytest.mark.parametrize("text, line", [
     ("# comment\n1,2\n", 1),
     ("\n1,2,\n3,4,\n", 2),
-], ids=["comment", "trailing-comma"])
+    # numpy's reader would strip an ASCII separator around a cell
+    ("1\x1c,2\n3,4\n", 1),
+    ("1,2\n3,\x1f4\n", 2),
+], ids=["comment", "trailing-comma", "file-separator", "unit-separator"])
 def test_load_rejects_unreadable_cell_naming_line(tmp_path, text, line):
     (tmp_path / "view_1.csv").write_text(text)
     with pytest.raises(ParseError, match=f"view_1.csv: line {line}: ") as info:

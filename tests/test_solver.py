@@ -698,14 +698,17 @@ def test_solve_returns_hash_codes_type(rng):
     assert len(codes.per_view) == 3
 
 
-def test_solve_peak_memory_in_code_blocks():
+@pytest.mark.parametrize("v", [2, 3, 4, 5])
+def test_solve_peak_memory_in_code_blocks(v):
     # the steps compute in the blocks they replace: a solve holds B, E and
     # J plus at most one more code block (the code step's target, or the
-    # E step's two buffers) and the fused codes
+    # E step's two buffers) and the fused codes; with complex spectral
+    # slices (v >= 3) the E step factors them from the real packing in its
+    # buffers, with no complex array of the block's size
     import tracemalloc
 
     rng = np.random.default_rng(11)
-    v, bits, n, m = 2, 64, 1600, 150
+    bits, n, m = 64, 1600, 150
     graphs = np.exp(-3.0 * rng.random((v, m, n)))
     factors = gram_factors(graphs)
     config = SolverConfig(alpha=0.01, bits=bits, zeta=0.3, max_iter=30, seed=0)

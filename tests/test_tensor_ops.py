@@ -10,18 +10,13 @@ import pytest
 
 import oracles
 from conftest import random_tensor_corpus
-from tenhash.exceptions import (
-    ConjugateSymmetryViolation,
-    DimensionMismatch,
-)
+from tenhash.exceptions import DimensionMismatch
 from tenhash.tensor_ops import (
     _dft_matrices,
     _from_spectrum,
     _spectrum,
     enhanced_tensor_nuclear_norm,
     enhanced_tensor_svt,
-    extract_core_matrix,
-    fold_core_matrix,
     matrix_svt,
     t_product,
     t_svd,
@@ -82,11 +77,12 @@ def gram_branch_inputs(seed):
 
 
 def test_spectrum_is_real_for_depth_up_to_two(rng):
+    # and beyond: every depth has one real d3 x d1 x d2 packing
     for d3 in (1, 2, 3, 4, 5):
-        stack = _spectrum(rng.standard_normal((3, 4, d3)))
-        assert stack.shape == (d3 // 2 + 1, 3, 4)
-        assert stack.dtype == (float if d3 <= 2 else complex)
-        assert stack.flags.c_contiguous
+        packed = _spectrum(rng.standard_normal((3, 4, d3)))
+        assert packed.shape == (d3, 3, 4)
+        assert packed.dtype == float
+        assert packed.flags.c_contiguous
 
 
 def test_spectrum_depth_two_matches_naive_oracle():
@@ -104,20 +100,28 @@ def spectrum_inputs(rng, d3):
     yield np.moveaxis(rng.standard_normal((d3, 3, 6)), 0, 2)
 
 
+def packing_of(half, d3):
+    """The packed rows of the d3//2+1 independent complex slices ``half``
+    (slice axis first): their real parts, then the imaginary parts of
+    slices 1..d3-h."""
+    return np.concatenate([half.real, half.imag[1 : d3 - d3 // 2]])
+
+
 @pytest.mark.parametrize("d3", range(1, 10))
 def test_spectrum_matches_rfft_and_naive_oracle(d3, rng):
     for t in spectrum_inputs(rng, d3):
-        stack = _spectrum(t)
-        assert stack.flags.c_contiguous
-        assert rel_err(stack, np.moveaxis(np.fft.rfft(t, axis=2), 2, 0)) <= 1e-13
+        packed = _spectrum(t)
+        assert packed.flags.c_contiguous
+        want = np.moveaxis(np.fft.rfft(t, axis=2), 2, 0)
+        assert rel_err(packed, packing_of(want, d3)) <= 1e-13
         want = np.moveaxis(oracles.naive_dft_mode3(t)[:, :, : d3 // 2 + 1], 2, 0)
-        assert rel_err(stack, want) <= 1e-13
+        assert rel_err(packed, packing_of(want, d3)) <= 1e-13
 
 
 @pytest.mark.parametrize("d3", range(1, 10))
 def test_from_spectrum_round_trip(d3, rng):
     for t in spectrum_inputs(rng, d3):
-        back = _from_spectrum(_spectrum(t), d3)
+        back = _from_spectrum(_spectrum(t))
         assert rel_err(back, t) <= 1e-14
         # the mode-3 view of one contiguous view-major array
         assert np.moveaxis(back, 2, 0).flags.c_contiguous
@@ -136,14 +140,14 @@ def test_depth_two_spectrum_is_exact_sum_and_difference(rng):
     stack = _spectrum(t)
     assert np.array_equal(stack[0], t[:, :, 0] + t[:, :, 1])
     assert np.array_equal(stack[1], t[:, :, 0] - t[:, :, 1])
-    back = _from_spectrum(stack, 2)
+    back = _from_spectrum(stack)
     assert np.array_equal(back[:, :, 0], (stack[0] + stack[1]) * 0.5)
     assert np.array_equal(back[:, :, 1], (stack[0] - stack[1]) * 0.5)
 
 
 def test_round_trip_over_corpus():
     for t in random_tensor_corpus(100):
-        assert rel_err(_from_spectrum(_spectrum(t), t.shape[2]), t) <= 1e-12
+        assert rel_err(_from_spectrum(_spectrum(t)), t) <= 1e-12
 
 
 NO_FFT_SCRIPT = """
@@ -157,8 +161,6 @@ factors = ops.t_svd(t)
 ops.t_product(t, ops.t_transpose(t))
 ops.tensor_nuclear_norm(t)
 ops.enhanced_tensor_nuclear_norm(t, 0.5)
-cm = ops.extract_core_matrix(factors)
-ops.fold_core_matrix(cm, 4, 3, 3)
 ops.matrix_svt(t[:, :, 0], 0.1)
 ops.tensor_svt(t, 0.1)
 ops.enhanced_tensor_svt(t, 1.0, 0.1, 0.1)
@@ -200,7 +202,7 @@ def test_t_product_depth_one_is_matmul(rng):
 
 def test_t_product_matches_block_circulant_oracle():
     rng = np.random.default_rng(13)
-    for d3 in (2, 1, 3):
+    for d3 in (2, 1, 3, 4, 5, 6, 7, 8):
         a = rng.standard_normal((3, 4, d3))
         b = rng.standard_normal((4, 2, d3))
         assert rel_err(t_product(a, b), oracles.tproduct_bcirc(a, b)) <= 1e-10
@@ -226,7 +228,7 @@ def test_t_svd_identity_tensor():
     ident = identity_tensor(3, 4)
     factors = t_svd(ident)
     assert rel_err(factors.S, ident) <= 1e-10
-    sv = extract_core_matrix(factors)
+    sv = oracles.spectral_singular_values(factors.S)
     assert np.allclose(sv, 1.0)
 
 
@@ -242,7 +244,7 @@ def test_t_svd_reconstruction_and_oracle_values():
         factors = t_svd(t)
         recon = t_product(factors.U, t_product(factors.S, t_transpose(factors.V)))
         assert rel_err(recon, t) <= 1e-8
-        got = extract_core_matrix(factors)
+        got = oracles.spectral_singular_values(factors.S)
         want = oracles.spectral_singular_values(t)
         assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -260,10 +262,16 @@ def test_t_svd_corpus_reconstruction_and_unitarity():
 
 
 def test_t_svd_singular_values_sorted():
+    # every spectral slice of S is diagonal, with the slice's singular
+    # values sorted non-increasing
     for t in random_tensor_corpus(20, seed=22):
-        cm = extract_core_matrix(t_svd(t))
-        for j in range(cm.shape[1]):
-            assert np.all(np.diff(cm[:, j]) <= 1e-12)
+        spec = oracles.naive_dft_mode3(t_svd(t).S)
+        diag = np.diagonal(spec, axis1=0, axis2=1).copy()
+        idx = np.arange(diag.shape[1])
+        spec[idx, idx] = 0
+        assert np.abs(spec).max() <= 1e-12
+        assert np.abs(diag.imag).max() <= 1e-12
+        assert np.all(np.diff(diag.real, axis=1) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -307,55 +315,6 @@ def test_tnn_norm_properties():
         assert na >= 0
         assert tensor_nuclear_norm(c * a) == pytest.approx(abs(c) * na, abs=1e-10)
         assert tensor_nuclear_norm(a + b) <= na + nb + 1e-10
-
-
-# ---------------------------------------------------------------------------
-# core matrix extraction / folding
-
-
-def test_extract_core_zero():
-    assert np.allclose(extract_core_matrix(np.zeros((4, 3, 2))), 0.0)
-
-
-def test_extract_core_matches_oracle_columns():
-    t = np.random.default_rng(17).standard_normal((5, 3, 4))
-    cm = extract_core_matrix(t_svd(t))
-    want = oracles.spectral_singular_values(t)
-    assert np.max(np.abs(cm - want)) <= 1e-8
-
-
-def test_fold_zero_matrix():
-    assert np.allclose(fold_core_matrix(np.zeros((3, 4)), 3, 5, 4), 0.0)
-
-
-def test_fold_round_trip():
-    t = np.random.default_rng(18).standard_normal((5, 4, 3))
-    factors = t_svd(t)
-    cm = extract_core_matrix(factors)
-    folded = fold_core_matrix(cm, *t.shape)
-    assert rel_err(folded, factors.S) <= 1e-10
-    assert np.max(np.abs(extract_core_matrix(folded) - cm)) <= 1e-10
-
-
-def test_fold_identity_pattern():
-    got = fold_core_matrix(np.ones((3, 4)), 3, 3, 4)
-    want = oracles.naive_idft_mode3(
-        np.stack([np.eye(3, dtype=complex)] * 4, axis=2)
-    ).real
-    assert rel_err(got, want) <= 1e-12
-    assert rel_err(got, identity_tensor(3, 4)) <= 1e-12
-
-
-def test_fold_rejects_asymmetric_core_matrix():
-    cm = np.ones((3, 4))
-    cm[0, 1] = 2.0  # column 1 no longer mirrors column 3
-    with pytest.raises(ConjugateSymmetryViolation):
-        fold_core_matrix(cm, 3, 3, 4)
-
-
-def test_fold_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        fold_core_matrix(np.ones((3, 4)), 5, 5, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +419,7 @@ def test_enhanced_svt_equals_public_composition():
     for shape in itertools.chain(random_shapes, REAL_SVD_SHAPES):
         t = rng.standard_normal(shape)
         mu, zeta, lam = rng.uniform(0.5, 2.0), rng.uniform(0, 0.4), rng.uniform(0, 0.4)
-        factors = t_svd(t)
-        cm_low = matrix_svt(extract_core_matrix(factors), lam / mu)
-        rebuilt = t_product(
-            factors.U,
-            t_product(fold_core_matrix(cm_low, *shape), t_transpose(factors.V)),
-        )
-        want = tensor_svt(rebuilt, zeta / mu)
+        want = oracles.naive_enhanced_tensor_svt(t, mu, zeta, lam)
         got = enhanced_tensor_svt(t, mu, zeta, lam)
         assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -477,15 +430,49 @@ def test_enhanced_svt_rectangular_fast_path_matches_composition():
     for shape in ((3, 40, 2), (40, 3, 3), (2, 29, 4), (60, 5, 1)):
         t = rng.standard_normal(shape)
         mu, zeta, lam = 1.3, 0.2, 0.15
-        factors = t_svd(t)
-        cm_low = matrix_svt(extract_core_matrix(factors), lam / mu)
-        rebuilt = t_product(
-            factors.U,
-            t_product(fold_core_matrix(cm_low, *shape), t_transpose(factors.V)),
-        )
-        want = tensor_svt(rebuilt, zeta / mu)
+        want = oracles.naive_enhanced_tensor_svt(t, mu, zeta, lam)
         got = enhanced_tensor_svt(t, mu, zeta, lam)
         assert np.max(np.abs(got - want)) <= 1e-9
+
+
+# complex spectral slices (d3 >= 3) on wide, tall and square slices, full
+# rank and of rank 2, against the per-slice SVDs of the naive transform
+
+
+def complex_slice_inputs(d3):
+    rng = np.random.default_rng(60 + d3)
+    for shape in ((4, 30, d3), (30, 4, d3), (6, 6, d3)):
+        yield rng.standard_normal(shape)
+        yield low_rank_tensor(rng, shape, 2)
+
+
+@pytest.mark.parametrize("d3", range(3, 9))
+def test_tensor_svt_matches_oracle_with_complex_slices(d3):
+    for t in complex_slice_inputs(d3):
+        assert rel_err(tensor_svt(t, 0.5), oracles.naive_tensor_svt(t, 0.5)) <= 1e-8
+
+
+@pytest.mark.parametrize("d3", range(3, 9))
+def test_tnn_matches_oracle_with_complex_slices(d3):
+    for t in complex_slice_inputs(d3):
+        assert tensor_nuclear_norm(t) == pytest.approx(oracles.naive_tnn(t), abs=1e-8)
+
+
+@pytest.mark.parametrize("d3", range(3, 9))
+def test_enhanced_norm_matches_oracle_with_complex_slices(d3):
+    for t in complex_slice_inputs(d3):
+        cm = oracles.spectral_singular_values(t)
+        want = oracles.matrix_nuclear_norm(cm) + 0.4 * oracles.naive_tnn(t)
+        assert enhanced_tensor_nuclear_norm(t, 0.4) == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("d3", range(3, 9))
+def test_enhanced_svt_matches_oracle_with_complex_slices(d3):
+    for t in complex_slice_inputs(d3):
+        for mu, zeta, lam in ((1.3, 0.2, 0.15), (0.7, 0.0, 0.4), (2.0, 0.5, 0.0)):
+            got = enhanced_tensor_svt(t, mu, zeta, lam)
+            want = oracles.naive_enhanced_tensor_svt(t, mu, zeta, lam)
+            assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_enhanced_norm_value_matches_oracle_sum():
