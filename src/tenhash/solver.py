@@ -20,8 +20,9 @@ stack (:func:`gram_factors`), the factors are passed to every
 :func:`solve` on that stack, and every linear solve is two GEMMs.
 
 Each step returns only the block it updates. One product is kept across
-iterations: phi B' (for the projection step) is formed again only after a
-code bit flips. The objective reads only the state and the graphs, and
+iterations: phi B' (for the projection step), whose slice of view p is
+formed again, in place, only after a code bit of view p flips. The
+objective reads only the state and the graphs, and
 nothing is formed that only a trace reads: the objective is computed only
 when :func:`solve` is asked for it (``trace=True``).
 
@@ -50,6 +51,9 @@ from .tensor_ops import shrink_unchecked as enhanced_tensor_svt
 MU0 = 1e-4     # initial penalty
 RHO = 2.0      # penalty growth factor per iteration
 MU_MAX = 1e10  # penalty cap
+# below this bound on ||J||_F, J + mu (B - E) with a finite residual
+# ||B - E||_F cannot overflow, so the solve does not scan J
+_DUAL_SCAN_LIMIT = 1e300
 
 
 @dataclass
@@ -213,20 +217,26 @@ def update_codes(state, graphs, config, scratch=None):
     the exact maximizer of the code subproblem's trace objective. Returns
     the codes.
 
-    The temporary (mu E - J) / 2 is formed in ``scratch`` (a v x bits x n
-    float array, which may be ``state.aux_code`` itself: E is read before
-    it is written) if given, else in a new array.
+    It is formed as sign(2 alpha Q' phi + mu E - J): scaling by 2 commutes
+    with rounding away from overflow and subnormals, so the signs are the
+    same and the halving pass is saved. The temporary mu E - J is formed
+    in ``scratch`` (a v x bits x n float array, which may be
+    ``state.aux_code`` itself: E is read before it is written) if given,
+    else in a new array.
     """
     # starting from the C-ordered product keeps the codes C-ordered: the
     # residual norms sum in memory order, so another layout rounds them
     # differently
     target = state.projections.mT @ graphs
-    target *= config.alpha
-    # one temporary, updated in place; the target then becomes the codes
-    step = np.multiply(state.aux_code, state.mu, out=scratch)
-    step -= state.dual_code
-    step *= 0.5
-    target += step
+    # an alpha large enough to overflow has left non-finite projections,
+    # which the check after this step reports; a product that overflows
+    # here from finite projections keeps its sign
+    with np.errstate(over="ignore", invalid="ignore"):
+        target *= 2.0 * config.alpha
+        # one temporary, updated in place; the target then becomes the codes
+        step = np.multiply(state.aux_code, state.mu, out=scratch)
+        step -= state.dual_code
+        target += step
     return sign_pm1(target, out=target)
 
 
@@ -332,15 +342,23 @@ def solve(graphs, factors, config, trace=False):
     state = init_state(graphs, config)
     q_size = np.sqrt(state.aux_projection.size)
     b_size = np.sqrt(state.aux_code.size)
+    code_count = state.codes[0].size
     history = []
     stop_reason = "max_iter"
-    # phi B', kept until a code bit flips
-    graph_codes = None
+    # phi B': the slice of a view is formed in the iteration after its
+    # codes changed (and in iteration 1), by the dgemm the batched product
+    # runs for that view, so it is bit-identical to forming phi B' afresh
+    graph_codes = np.empty(state.projections.shape)
+    flips = [1] * len(graphs)
+    # sum of mu ||B - E||_F over the multiplier steps so far, a bound on
+    # ||J||_F
+    dual_code_bound = 0.0
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         mu_used = state.mu
-        if graph_codes is None:
-            graph_codes = graphs @ state.codes.mT
+        for p, flipped in enumerate(flips):
+            if flipped:
+                np.matmul(graphs[p], state.codes[p].T, out=graph_codes[p])
         # the blocks each step replaces are reused as the buffers of later
         # steps, so an iteration allocates one new code-sized array (the
         # codes) and frees one (the old J): the old Q is dead after the Q
@@ -351,11 +369,15 @@ def solve(graphs, factors, config, trace=False):
         state.projections = update_projections(state, graph_codes, config, factors)
         old_codes = state.codes
         state.codes = update_codes(state, graphs, config, scratch=state.aux_code)
-        flipped = int(np.count_nonzero(state.codes != old_codes))
-        if flipped:
-            graph_codes = None
-        # each block is scanned once, at the first check after it changed
-        _check_finite(state, it, ("projections", "dual_projection", "dual_code"))
+        # on +-1 codes, old . new = count - 2 * flips; the sum is exact
+        flips = [(code_count - int(np.vdot(new, old))) // 2
+                 for new, old in zip(state.codes, old_codes)]
+        # each block is scanned once, at the first check after it changed;
+        # J only when its bound does not rule out overflow
+        names = ("projections", "dual_projection")
+        if not dual_code_bound < _DUAL_SCAN_LIMIT:
+            names += ("dual_code",)
+        _check_finite(state, it, names)
         obj = objective_value(state, graphs, config) if trace else None
         state.aux_projection = update_aux_projection(
             state, config, out=state.aux_projection, work=old_projections)
@@ -368,6 +390,7 @@ def solve(graphs, factors, config, trace=False):
         # when not, which makes its residual NaN: only then are they scanned
         if not np.isfinite(res_q + res_b):
             _check_finite(state, it, ("aux_projection", "aux_code"))
+        dual_code_bound += mu_used * res_b
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
             state, gaps
         )
@@ -378,7 +401,7 @@ def solve(graphs, factors, config, trace=False):
             res_code=res_b,
             mu=mu_used,
             seconds=time.perf_counter() - t0,
-            bits_flipped=flipped,
+            bits_flipped=sum(flips),
         ))
         if max(res_q / q_size, res_b / b_size) < config.tol:
             stop_reason = "tolerance"

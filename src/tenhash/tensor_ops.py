@@ -165,7 +165,7 @@ def _all_slices(half, d3):
     return half[..., np.minimum(j, d3 - j)]
 
 
-def _factor(packed, vectors=True):
+def _factor(packed, vectors=True, zero_bound=None):
     """Singular values of every independent slice of a packed spectrum,
     and a rebuild.
 
@@ -187,6 +187,12 @@ def _factor(packed, vectors=True):
     imaginary parts of a complex one, each written into its row of the
     result. That is one product with P in place of two with the basis over
     the long side, and agrees with the two-product form to rounding level.
+
+    With ``zero_bound``, returns None instead, before any
+    eigendecomposition, when max_j sqrt(||G_j||_F) (1 + 1e-6) <=
+    zero_bound over the slice Gram matrices G_j: that bounds every
+    singular value, since sigma_max(X_j)^2 = lambda_max(G_j) <= ||G_j||_F,
+    and the factor covers the rounding of the computed singular values.
     """
     d3, d1, d2 = packed.shape
     real, re, im = _rows(d3)
@@ -202,6 +208,10 @@ def _factor(packed, vectors=True):
         r, i = wide[re], wide[im]
         cross = i @ r.mT
         grams.append((re, r @ r.mT + i @ i.mT + 1j * (cross - cross.mT)))
+    if zero_bound is not None:
+        largest = max(np.linalg.norm(gram, axis=(1, 2)).max() for _, gram in grams)
+        if np.sqrt(largest) * (1 + 1e-6) <= zero_bound:
+            return None
     vals = np.empty((d3 // 2 + 1, min(d1, d2)))
     bases = []
     try:
@@ -372,9 +382,10 @@ def enhanced_tensor_svt(t, mu, zeta, lam):
 
     Works on the spectral slices with economy factorizations and never
     forms the full square orthogonal factors of a t-SVD. The work is done
-    by :func:`shrink_unchecked`, which returns zeros without factoring
-    when the norm of ``t`` shows the result is 0, and all NaN when that
-    norm overflows.
+    by :func:`shrink_unchecked`, which returns +0.0 everywhere without
+    factoring when the norm of ``t`` or the Gram matrices of its spectral
+    slices show the result is 0 (where the full path could give -0.0), and
+    all NaN when that norm overflows.
     """
     if not 0 < mu:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -401,13 +412,20 @@ def shrink_unchecked(t, mu, zeta, lam, out=None, work=None):
     one so large its square overflows) shrinks to all NaN, so the caller's
     finiteness check reports it.
 
-    When the norm shows that every coefficient stage two keeps is 0, the
-    result is +0.0 everywhere and nothing is factored: by Parseval the
-    core matrix has Frobenius norm sqrt(d3) * ||t||_F, which bounds its
-    largest singular value, so no entry exceeds sqrt(d3) * ||t||_F - lam/mu
-    after stage one, and stage two zeroes every entry of magnitude at most
-    zeta/mu. The factor 1 + 1e-6 covers the rounding of the computed
-    singular values.
+    When a bound shows that every coefficient stage two keeps is 0, the
+    result is +0.0 everywhere (where the full path could give -0.0) and
+    nothing is factored. Two bounds are tried, each with a factor 1 + 1e-6
+    for the rounding of the computed singular values. First the norm: by
+    Parseval the core matrix has Frobenius norm sqrt(d3) * ||t||_F, which
+    bounds its largest singular value, so no entry exceeds
+    sqrt(d3) * ||t||_F - lam/mu after stage one, and stage two zeroes
+    every entry of magnitude at most zeta/mu; this skips the spectrum too.
+    Then the slice Gram matrices G_j, before they are eigendecomposed:
+    sqrt(||G_j||_F) bounds every singular value of slice j, hence every
+    core entry, and stage one moves each entry by at most lam/mu (the
+    part it removes, U min(S, lam/mu) V^T, has spectral norm at most
+    lam/mu), so max_j sqrt(||G_j||_F) <= (zeta - lam)/mu leaves nothing
+    for stage two to keep.
     """
     d1, d2, d3 = t.shape
     if out is None:
@@ -417,12 +435,15 @@ def shrink_unchecked(t, mu, zeta, lam, out=None, work=None):
     if not np.isfinite(norm):
         out.fill(np.nan)
         return np.moveaxis(out, 0, 2)
-    if np.sqrt(d3) * norm * (1 + 1e-6) - lam / mu <= zeta / mu:
-        out.fill(0.0)
-        return np.moveaxis(out, 0, 2)
     # the packed spectrum is taken into out, rebuilt into work, and
     # transformed back into out
-    s, rebuild = _factor(_spectrum(t, out=out))
+    factored = None
+    if np.sqrt(d3) * norm * (1 + 1e-6) - lam / mu > zeta / mu:
+        factored = _factor(_spectrum(t, out=out), zero_bound=(zeta - lam) / mu)
+    if factored is None:
+        out.fill(0.0)
+        return np.moveaxis(out, 0, 2)
+    s, rebuild = factored
     cm = _all_slices(s.T, d3)
     # stage one: global SVT on the core matrix couples the slices
     cm_low = matrix_svt(cm, lam / mu)

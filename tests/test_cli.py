@@ -9,7 +9,9 @@ import pytest
 import oracles
 from tenhash import cli
 from tenhash.cli import build_parser, main
-from tenhash.data import MultiViewData, gen_gaussian_clusters, load_multiview, save_multiview
+from tenhash.data import (
+    MultiViewData, gen_gaussian_clusters, load_multiview, salt_pepper, save_multiview,
+)
 
 PROTOCOL = [
     "--anchors", "100", "--bits", "16", "--alpha", "0.01", "--zeta", "0.3",
@@ -311,8 +313,17 @@ def test_cluster_reports_stop_reason(tmp_path):
 # three to five views give complex spectral slices (slices 1..v-h of the
 # mode-3 transform); the labels, iteration counts, flips per iteration and
 # stop reasons below were recorded before those slices were factored from
-# the real packing, and hold traced and untraced
+# the real packing, and hold traced and untraced. The two-view case is
+# salt-and-pepper noise with 64-bit codes, whose late iterations flip bits
+# in one view only and whose shrinkage steps are shown zero by the Gram
+# matrices of their slices.
 PINNED_VIEWS = {
+    2: ((10, 10), 2,
+        "011101110110001011100110011111111101110110110111001111111111"
+        "111111111111111111111111111111111111111111111111111101111111"
+        "111111111111111111111111111100100010011001010011001111101110"
+        "00000000011010110100",
+        [194, 115, 124, 145, 221, 429, 674, 783, 432, 187, 77, 18, 1, 0, 0, 0, 0, 0, 0, 0]),
     3: ((12, 6, 3), 5,
         "333333333333333333333333333333222223222222222222222222222232"
         "011100100111111101001010011111033333330000000330303003300033",
@@ -326,18 +337,97 @@ PINNED_VIEWS = {
         "222222222222222222222222222222222222222222222222222222222222",
         [50, 37, 50, 55, 83, 159, 304, 375, 239, 88, 24, 1, 0, 0, 0, 0, 0, 0, 0]),
 }
+# every primal residual of those runs, ||Q - A||_F then ||B - E||_F, as
+# float.hex: a change that is not bit-identical fails here
+PINNED_RESIDUALS = {
+    2: (
+        "0x1.483f52b18eb12p+7 0x1.bc0745ec15f56p+6 0x1.447a3ea653de2p+6 "
+        "0x1.e12190141680cp+5 0x1.617963103b187p+5 0x1.fcaaba212f209p+4 "
+        "0x1.66c9ef18ded0ap+4 0x1.01ebdf1abd8ffp+4 0x1.370827a86ab1ep+3 "
+        "0x1.24797ab726c70p+2 0x1.9cf45bf7be85dp+0 0x1.3fb82912951cbp-1 "
+        "0x1.78d2925ca4266p-3 0x1.c44dd014b49dep-5 0x1.e1f0530c98c37p-7 "
+        "0x1.cb589d9ff20fdp-9 0x1.e02ea25813376p-11 0x1.a7d20222e97a2p-12 "
+        "0x1.7c26180fb2742p-13 0x1.b6fcfb2497f04p-15",
+        "0x1.4000000000000p+7 0x1.4000000000000p+7 0x1.4000000000000p+7 "
+        "0x1.4000000000000p+7 0x1.6d0e47d7e6eacp+6 0x1.fa8e8458c3c50p+5 "
+        "0x1.71cef78341f57p+5 0x1.cab9d1417230ap+4 0x1.2987272185258p+4 "
+        "0x1.7134de865fb07p+3 0x1.571bdd5674fabp+2 0x1.f45380e18fc18p-1 "
+        "0x1.b0d9b3d23bb5dp-5 0x1.add3e3fe2c404p-10 0x1.edcc530ca102cp-15 "
+        "0x1.b391a892aec83p-17 0x1.b2d75daea9352p-19 0x1.b34a254393324p-21 "
+        "0x1.b3c3fa80c0f1bp-23 0x1.b47ca3eebb7ddp-25",
+    ),
+    3: (
+        "0x1.9eb91966ea593p+6 0x1.c743a37ad78cdp+5 0x1.3837b84d55eecp+5 "
+        "0x1.ca0636defd7e2p+4 0x1.6136eef27f03ep+4 0x1.0a97d45bbf550p+4 "
+        "0x1.8e3bf872d3faap+3 0x1.47f0f8e5c02b5p+3 0x1.ac066246e4d16p+2 "
+        "0x1.0e08052a68c1ap+2 0x1.283a2702059ffp+1 0x1.9c7e6af8b4e45p-1 "
+        "0x1.16d934bbeaf01p-2 0x1.5fd5978c3a06ap-4 0x1.0cb3bcd23eea2p-6 "
+        "0x1.097595271c3a0p-8 0x1.5989e96caff7cp-10 0x1.87903c5af6089p-12 "
+        "0x1.4935ce47ab8efp-14 0x1.0a6cb0f25c9efp-16",
+        "0x1.2f9422c23c47ep+6 0x1.2f9422c23c47ep+6 0x1.2f9422c23c47ep+6 "
+        "0x1.2f9422c23c47ep+6 0x1.2f9422c23c47ep+6 0x1.ed42771f8b4abp+5 "
+        "0x1.42b89d1d4506fp+5 0x1.5372df3fffa49p+4 0x1.983825b8a95c3p+3 "
+        "0x1.dda4f85c0c63fp+2 0x1.3866141074f4cp+1 0x1.9f07c86742ecep-2 "
+        "0x1.c6ecb806bbf47p-5 0x1.38cab4daeeb08p-8 0x1.f052a37fffcddp-13 "
+        "0x1.a50523196202dp-17 0x1.7123a6ad5a0a1p-19 0x1.71936df74c650p-21 "
+        "0x1.71e149be1dd50p-23 0x1.720848e89adf6p-25",
+    ),
+    4: (
+        "0x1.c2f1e12492d23p+6 0x1.e9a3cab8d19afp+5 0x1.4e4b49f4250c4p+5 "
+        "0x1.eccf8db41a03dp+4 0x1.674b5d6a5fcc1p+4 0x1.0df4e2cc148a1p+4 "
+        "0x1.ad21fe8b3535ep+3 0x1.3fa4223b99241p+3 0x1.d79fb335805c4p+2 "
+        "0x1.2a6ace568c3b2p+2 0x1.398302b0d488dp+1 0x1.a9044cba59613p-1 "
+        "0x1.a8d32f9c1fa39p-3 0x1.03c340fefdbb6p-4 0x1.f8f9cee07a83bp-7 "
+        "0x1.e817993f22ce9p-9 0x1.b06d2afe9fafdp-11 0x1.5571b4b8a17d8p-13 "
+        "0x1.225e89165ddc1p-15",
+        "0x1.5e8add236a58fp+6 0x1.5e8add236a58fp+6 0x1.5e8add236a58fp+6 "
+        "0x1.5e8add236a58fp+6 0x1.5e8add236a58fp+6 0x1.cf9431a5b72e4p+5 "
+        "0x1.40f5812d64310p+5 0x1.83f31f447d067p+4 0x1.c09b71ad17aacp+3 "
+        "0x1.fe54ce0921f79p+2 0x1.811aa1302ae92p+1 0x1.74a43a81edb7ep+0 "
+        "0x1.0a97a5bc39bc6p-4 0x1.5180b39cdd974p-9 0x1.0c724fcf46f5fp-14 "
+        "0x1.e7c4e73bf4b82p-18 0x1.e73bd62edf815p-20 0x1.e81879fa67260p-22 "
+        "0x1.e88d8a4b85c89p-24",
+    ),
+    5: (
+        "0x1.e8a05fd7674fcp+6 0x1.0b94052bd36dap+6 0x1.6f14e526d9f60p+5 "
+        "0x1.1022c76aaaf8dp+5 0x1.8be418ef53fc6p+4 0x1.1fa4cd5d7ee43p+4 "
+        "0x1.bf7104dcc5642p+3 0x1.58fbe677b3c3dp+3 0x1.de1ca7864e457p+2 "
+        "0x1.386b174b13329p+2 0x1.32bd985157e27p+1 0x1.8cd3fc6844758p-1 "
+        "0x1.ae132bb1d628fp-3 0x1.c57e4e681f9dbp-5 0x1.c8853600dca7bp-7 "
+        "0x1.9a2e247cf80bbp-9 0x1.71947ffbc9373p-11 0x1.3c10fb73fd0a2p-13 "
+        "0x1.18a99b4b2a39dp-15",
+        "0x1.87eb1990b697ap+6 0x1.87eb1990b697ap+6 0x1.87eb1990b697ap+6 "
+        "0x1.87eb1990b697ap+6 0x1.87eb1990b697ap+6 0x1.ec0b4c6fb9774p+5 "
+        "0x1.45fc6ba01d709p+5 0x1.741c134a1a886p+4 0x1.a2a016696cc01p+3 "
+        "0x1.d8c1213947e02p+2 0x1.f43778339b2c8p+0 0x1.053d8c0827c12p-3 "
+        "0x1.33062c159c9fap-7 0x1.b0bac811dc983p-12 0x1.9fec865f05ca1p-16 "
+        "0x1.8196a6df1acc5p-18 0x1.820e82181a06cp-20 0x1.8255f98117ddcp-22 "
+        "0x1.8271652f596a4p-24",
+    ),
+}
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("views", sorted(PINNED_VIEWS))
 def test_pipeline_pinned_with_three_to_five_views(views, trace):
     dims, seed, labels, flips = PINNED_VIEWS[views]
-    data = gen_gaussian_clusters(k=4, v=views, n=120, dims=dims, sep=4.0, seed=seed)
+    if views == 2:
+        clean = gen_gaussian_clusters(k=4, v=2, n=200, dims=dims, sep=4.0, seed=seed)
+        data = MultiViewData(
+            views=[salt_pepper(view, 0.1, seed + p) for p, view in enumerate(clean.views)],
+            labels=clean.labels, name=clean.name)
+        anchors, bits = 60, 64
+    else:
+        data = gen_gaussian_clusters(k=4, v=views, n=120, dims=dims, sep=4.0, seed=seed)
+        anchors, bits = 90, 16
     codes, history, pred, _ = cli._pipeline(
-        data, 90, 16, 0.01, 0.3, 4, 0, 100, 1e-6, True, trace=trace)
+        data, anchors, bits, 0.01, 0.3, 4, 0, 100, 1e-6, True, trace=trace)
     assert "".join(map(str, pred)) == labels
     assert [r.bits_flipped for r in history] == flips
     assert codes.stop_reason == "tolerance"
+    res_projection, res_code = PINNED_RESIDUALS[views]
+    assert " ".join(r.res_projection.hex() for r in history) == res_projection
+    assert " ".join(r.res_code.hex() for r in history) == res_code
 
 
 def test_cluster_labels_out_roundtrips_through_eval(tmp_path, capsys):

@@ -611,26 +611,53 @@ def recomputing_solve(graphs, config):
     return state.codes, stop_reason, history
 
 
+def record_graph_codes(monkeypatch):
+    """Record, for every projection step of a solve, the phi B' it is
+    given, a copy of it and a copy of the codes at that point."""
+    seen = []
+    step = solver.update_projections
+
+    def recording_step(state, graph_codes, *args):
+        seen.append((graph_codes, graph_codes.copy(), state.codes.copy()))
+        return step(state, graph_codes, *args)
+
+    monkeypatch.setattr(solver, "update_projections", recording_step)
+    return seen
+
+
+def assert_refreshed_per_view(graphs, seen, history):
+    """phi B' is one array, refreshed in place: it always equals
+    graphs @ codes.mT bit-for-bit, and the slice of a view changes exactly
+    after an iteration that flipped a bit of that view. Returns the flips
+    of each view in each iteration but the last."""
+    assert len({id(graph_codes) for graph_codes, _, _ in seen}) == 1
+    for _, graph_codes, codes in seen:
+        assert graph_codes.tobytes() == (graphs @ codes.mT).tobytes()
+    per_view = []
+    for k in range(1, len(seen)):
+        (_, before, old), (_, after, new) = seen[k - 1], seen[k]
+        flips = [int(np.sum(b != a)) for b, a in zip(new, old)]
+        changed = [x.tobytes() != y.tobytes() for x, y in zip(after, before)]
+        assert changed == [f > 0 for f in flips]
+        assert history[k - 1].bits_flipped == sum(flips)
+        per_view.append(flips)
+    return per_view
+
+
 def test_solve_reuse_is_exact_and_happens(monkeypatch):
     graphs = np.random.default_rng(2).random((3, 6, 24))
     config = make_config(alpha=0.5, bits=3)
     want_codes, want_stop, want_history = recomputing_solve(graphs, config)
 
     etnn_calls = []
-    graph_codes_seen = []
     etnn = solver.enhanced_tensor_nuclear_norm
-    step = solver.update_projections
 
     def counting_etnn(*args):
         etnn_calls.append(1)
         return etnn(*args)
 
-    def recording_step(state, graph_codes, *args):
-        graph_codes_seen.append(graph_codes)
-        return step(state, graph_codes, *args)
-
     monkeypatch.setattr(solver, "enhanced_tensor_nuclear_norm", counting_etnn)
-    monkeypatch.setattr(solver, "update_projections", recording_step)
+    seen = record_graph_codes(monkeypatch)
     codes, history = solve(graphs, gram_factors(graphs), config, trace=True)
 
     assert np.array_equal(codes.per_view, want_codes)
@@ -645,12 +672,20 @@ def test_solve_reuse_is_exact_and_happens(monkeypatch):
     assert 0 in flips and any(flips[1:])
     # the enhanced TNNs of Q and B in every traced iteration
     assert len(etnn_calls) == 2 * len(history)
-    # phi B' is formed in iteration 1 and after each flip, else reused
-    for k in range(1, len(history)):
-        reused = graph_codes_seen[k] is graph_codes_seen[k - 1]
-        assert reused == (flips[k - 1] == 0)
-    distinct = {id(x) for x in graph_codes_seen}
-    assert len(distinct) == 1 + sum(f > 0 for f in flips[:-1])
+    per_view = assert_refreshed_per_view(graphs, seen, history)
+    # some iterations flip bits of every view, some of one view only
+    assert [sum(f > 0 for f in flips) for flips in per_view if any(flips)] == [3, 2, 1, 1]
+
+
+def test_solve_refreshes_graph_codes_of_the_flipped_views_only(monkeypatch):
+    # three views, where most of the flipping iterations after the first
+    # flip bits of view 2 alone (the single-view flips above are in view 1)
+    graphs = np.random.default_rng(6).random((3, 6, 24))
+    seen = record_graph_codes(monkeypatch)
+    _, history = solve(graphs, gram_factors(graphs), make_config(alpha=0.5, bits=3))
+    per_view = assert_refreshed_per_view(graphs, seen, history)
+    assert [flips for flips in per_view if any(flips)] == [
+        [1, 1, 2], [0, 1, 0], [0, 1, 0], [0, 2, 0], [0, 1, 0], [0, 1, 0]]
 
 
 @pytest.mark.parametrize("v", [1, 2, 3])
@@ -742,5 +777,44 @@ def test_solve_reports_a_shift_that_overflows_as_non_finite_block(monkeypatch, b
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFinite, match=f"non-finite value in {block} at iteration 2") as info:
+            solve(graphs, gram_factors(graphs), make_config(max_iter=5))
+    assert info.value.iteration == 2
+
+
+def test_ordinary_solve_never_scans_dual_code(monkeypatch):
+    # J stays far below the bound at which J + mu (B - E) could overflow,
+    # so it is never scanned
+    graphs = np.random.default_rng(3).random((3, 5, 12))
+    scanned = []
+    check = solver._check_finite
+
+    def recording_check(state, iteration, names):
+        scanned.extend(names)
+        return check(state, iteration, names)
+
+    monkeypatch.setattr(solver, "_check_finite", recording_check)
+    codes, history = solve(graphs, gram_factors(graphs), make_config(max_iter=60))
+    assert codes.stop_reason == "tolerance"
+    assert scanned.count("projections") == len(history)
+    assert "dual_code" not in scanned
+
+
+def test_solve_scans_dual_code_once_its_bound_reaches_the_limit(monkeypatch):
+    # at a limit of 0 the bound never rules out overflow, so J is scanned
+    # in every iteration and an Inf in it is reported as a non-finite J
+    graphs = np.random.default_rng(3).random((2, 5, 12))
+    step = solver.update_multipliers
+
+    def inf_dual_code(state, gaps):
+        dual_projection, dual_code, mu = step(state, gaps)
+        dual_code[1, 2, 3] = np.inf
+        return dual_projection, dual_code, mu
+
+    monkeypatch.setattr(solver, "_DUAL_SCAN_LIMIT", 0.0)
+    monkeypatch.setattr(solver, "update_multipliers", inf_dual_code)
+    message = "non-finite value in dual_code at iteration 2"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite, match=message) as info:
             solve(graphs, gram_factors(graphs), make_config(max_iter=5))
     assert info.value.iteration == 2

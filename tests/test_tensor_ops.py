@@ -536,6 +536,45 @@ def test_enhanced_svt_zero_bound_is_exact(v, monkeypatch):
     assert np.max(np.abs(enhanced_tensor_svt(tight, mu, zeta, lam))) > 1e-3 * edge
 
 
+@pytest.mark.parametrize("d3", range(1, 7))
+def test_enhanced_svt_gram_bound_is_exact(d3, monkeypatch):
+    # every stage-two coefficient is 0 once max_j sqrt(||G_j||_F) <=
+    # (zeta - lam)/mu (up to the 1e-6 margin), with G_j the Gram matrix of
+    # spectral slice j, whose Frobenius norm is sqrt(sum(sigma^4)); the
+    # inputs sit just below and just above that edge, where the norm bound
+    # does not show the result is 0
+    rng = np.random.default_rng(70 + d3)
+    mu, zeta, lam = 1.0, 0.3, 0.03
+    edge = (zeta - lam) / mu
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for shape in ((4, 9, d3), (9, 4, d3), (6, 6, d3)):
+        t = rng.standard_normal(shape)
+        t /= np.max(np.sum(oracles.spectral_singular_values(t) ** 4, axis=0) ** 0.25)
+        for side in (1 - 1e-4, 1 + 1e-4):
+            x = t * edge * side
+            assert np.sqrt(d3) * np.linalg.norm(x) - lam / mu > zeta / mu
+            calls.clear()
+            got = enhanced_tensor_svt(x, mu, zeta, lam)
+            want = oracles.naive_enhanced_tensor_svt(x, mu, zeta, lam)
+            assert np.max(np.abs(got - want)) <= 1e-9
+            assert np.moveaxis(got, 2, 0).flags.c_contiguous
+            if side < 1:
+                assert not calls
+                assert np.all(got == 0) and not np.signbit(got).any()
+            else:
+                # the edge is (zeta - lam)/mu, not zeta/mu: stage one can
+                # raise an entry by up to lam/mu, so above it the slices
+                # are factored
+                assert calls
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
 def test_shrinkage_of_a_non_finite_norm_is_nan(value, rng):
     # an Inf or NaN entry, or finite entries whose norm overflows, with no
