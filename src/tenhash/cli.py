@@ -229,8 +229,8 @@ def cmd_cluster(args, parser):
         "seed": args.seed,
         "iterations": len(history),
         "stop_reason": codes.stop_reason,
-        "final_res_qa": history[-1].res_projection if history else 0.0,
-        "final_res_be": history[-1].res_code if history else 0.0,
+        "final_res_qa": history[-1].res_projection,
+        "final_res_be": history[-1].res_code,
     }
     if dataset.labels is not None:
         report.update(all_metrics(pred, dataset.labels))

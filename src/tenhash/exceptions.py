@@ -92,8 +92,10 @@ class ParseError(DatasetFormatError):
 
 
 class NonFiniteInput(TenhashError, ValueError):
-    """An input view holds a NaN or Inf, or a feature whose spread
-    overflows; carries its 1-based position (sample None for a spread)."""
+    """An input holds a NaN or Inf: an entry of a view (or a feature whose
+    spread overflows), of a tensor or of a matrix, named by its 1-based
+    position. For a view, the position is also carried as ``view``,
+    ``feature`` and ``sample`` (sample None for a spread)."""
 
     def __init__(self, message, view=None, feature=None, sample=None):
         super().__init__(message)

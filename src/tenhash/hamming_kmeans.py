@@ -150,9 +150,7 @@ def binary_kmeans(codes, k, seed=0):
     the u distinct codes, each weighted by its sample count; the bit sums
     of the centroid step are the same integers either way.
     """
-    distinct, counts, ids = _distinct_columns(codes, k)
-    centroids, labels = _run(distinct, counts, ids, k, seed)
-    return ClusterModel(centroids=centroids, labels=labels[ids])
+    return binary_kmeans_restarts(codes, k, restarts=1, seed=seed)
 
 
 def binary_kmeans_restarts(codes, k, restarts=8, seed=0):

@@ -44,16 +44,14 @@ from .exceptions import InconsistentSampleCounts, NonFinite, ShapeMismatch
 from .hamming_kmeans import sign_pm1
 from .tensor_ops import enhanced_tensor_nuclear_norm
 # the shrinkage steps' entry: enhanced_tensor_svt without the input scan,
-# which _check_finite has made on every block the steps shift; bound under
-# the public name, through which perfbench times the shrinkage
+# since a block the steps shift that is not finite makes a primal residual
+# NaN, which solve reports; bound under the public name, through which
+# perfbench times the shrinkage
 from .tensor_ops import shrink_unchecked as enhanced_tensor_svt
 
 MU0 = 1e-4     # initial penalty
 RHO = 2.0      # penalty growth factor per iteration
 MU_MAX = 1e10  # penalty cap
-# below this bound on ||J||_F, J + mu (B - E) with a finite residual
-# ||B - E||_F cannot overflow, so the solve does not scan J
-_DUAL_SCAN_LIMIT = 1e300
 
 
 @dataclass
@@ -201,7 +199,7 @@ def update_projections(state, graph_codes, config, factors):
     mu = state.mu
     values, basis = factors
     # an alpha large enough to overflow leaves inf/NaN in the result, which
-    # the finite check after the code step reports as NonFinite
+    # makes the A step's residual NaN, and solve reports it as NonFinite
     with np.errstate(all="ignore"):
         rhs = (
             2.0 * config.alpha * graph_codes
@@ -229,8 +227,9 @@ def update_codes(state, graphs, config, scratch=None):
     # differently
     target = state.projections.mT @ graphs
     # an alpha large enough to overflow has left non-finite projections,
-    # which the check after this step reports; a product that overflows
-    # here from finite projections keeps its sign
+    # and a J that is not finite makes the E step's residual NaN: solve
+    # reports both; a product that overflows here from finite projections
+    # keeps its sign
     with np.errstate(over="ignore", invalid="ignore"):
         target *= 2.0 * config.alpha
         # one temporary, updated in place; the target then becomes the codes
@@ -247,9 +246,10 @@ def _aux_update(block, dual, mu, zeta, n, out, work):
     block's shape (new ones where None); ``work`` is left overwritten."""
     v, rows, _ = block.shape
     lam = 1.0 / np.sqrt(max(rows, v) * n)
-    # a shift that overflows shrinks to NaN (its norm is not finite),
-    # which the check after the shrinkage steps reports for this block
-    with np.errstate(over="ignore"):
+    # a block or shift that is not finite, or a shift that overflows (or
+    # meets an infinite block of the other sign), shrinks to NaN: its norm
+    # is not finite, and solve reports the NaN residual
+    with np.errstate(over="ignore", invalid="ignore"):
         shifted = np.divide(dual, mu, out=work)
         shifted += block
     tensor = np.moveaxis(shifted, 0, 2)
@@ -308,10 +308,11 @@ def objective_value(state, graphs, config):
     return float(config.alpha * fit + projection_norm + code_norm)
 
 
-def _check_finite(state, iteration, names):
-    """Raise NonFinite naming the first of the blocks ``names`` that holds
-    a NaN or Inf."""
-    for name in names:
+def _check_finite(state, iteration):
+    """Raise NonFinite naming the first block of the state that holds a
+    NaN or Inf, in the order Q, Y, J, A, E (the codes are always +-1)."""
+    for name in ("projections", "dual_projection", "dual_code",
+                 "aux_projection", "aux_code"):
         if not np.all(np.isfinite(getattr(state, name))):
             raise NonFinite(
                 f"non-finite value in {name} at iteration {iteration}",
@@ -334,6 +335,26 @@ def solve(graphs, factors, config, trace=False):
     objective, which nothing in the loop reads; otherwise it is None and
     is not computed. The codes and every other field are the same either
     way.
+
+    A NaN or Inf in the state raises NonFinite naming the block and the
+    iteration. The solve checks one thing for it: the sum of the two
+    primal residuals, which the stopping test needs anyway. Only when that
+    sum is not finite does :func:`_check_finite` scan the blocks, in the
+    order Q, Y, J, A, E. A shrinkage step shrinks an input whose norm is
+    not finite to all NaN, and a finite one to a finite result, so the
+    check reports every block in the iteration it stops being finite:
+
+    - a Q that is not finite gives the A step an input of infinite norm,
+      so A is NaN and ||Q - A|| is NaN in the same iteration;
+    - a Y or J that is not finite entering iteration k makes Q_k not
+      finite (through the right-hand side of the Q step) or E_k NaN
+      (through B + J/mu), so the scan of iteration k finds it;
+    - a shift Y/mu or J/mu that overflows makes A or E NaN with finite
+      Q, Y, J, and the scan names A or E;
+    - B is always +-1.
+
+    The objective is computed after the check, so a traced run reports
+    the same NonFinite as an untraced one.
     """
     graphs = _graph_stack(graphs)
     if np.shape(factors[0]) != graphs.shape[:2]:
@@ -350,9 +371,6 @@ def solve(graphs, factors, config, trace=False):
     # runs for that view, so it is bit-identical to forming phi B' afresh
     graph_codes = np.empty(state.projections.shape)
     flips = [1] * len(graphs)
-    # sum of mu ||B - E||_F over the multiplier steps so far, a bound on
-    # ||J||_F
-    dual_code_bound = 0.0
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         mu_used = state.mu
@@ -372,13 +390,6 @@ def solve(graphs, factors, config, trace=False):
         # on +-1 codes, old . new = count - 2 * flips; the sum is exact
         flips = [(code_count - int(np.vdot(new, old))) // 2
                  for new, old in zip(state.codes, old_codes)]
-        # each block is scanned once, at the first check after it changed;
-        # J only when its bound does not rule out overflow
-        names = ("projections", "dual_projection")
-        if not dual_code_bound < _DUAL_SCAN_LIMIT:
-            names += ("dual_code",)
-        _check_finite(state, it, names)
-        obj = objective_value(state, graphs, config) if trace else None
         state.aux_projection = update_aux_projection(
             state, config, out=state.aux_projection, work=old_projections)
         state.aux_code = update_aux_code(state, config, out=state.aux_code, work=old_codes)
@@ -386,11 +397,12 @@ def solve(graphs, factors, config, trace=False):
         # multiplier in place
         gaps = _primal_gaps(state, out=(old_projections, old_codes))
         res_q, res_b = (float(np.linalg.norm(gap)) for gap in gaps)
-        # a shrinkage result is finite when its input norm is, and all NaN
-        # when not, which makes its residual NaN: only then are they scanned
+        # the one non-finite check (see the docstring)
         if not np.isfinite(res_q + res_b):
-            _check_finite(state, it, ("aux_projection", "aux_code"))
-        dual_code_bound += mu_used * res_b
+            _check_finite(state, it)
+        # Q and B are the iteration's own: the shrinkage steps did not
+        # write them
+        obj = objective_value(state, graphs, config) if trace else None
         state.dual_projection, state.dual_code, state.mu = update_multipliers(
             state, gaps
         )

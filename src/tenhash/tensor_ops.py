@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, SvdNonConvergence
+from .exceptions import DimensionMismatch, NonFiniteInput, SvdNonConvergence
 
 # relative cutoff below which t_svd and matrix_svt singular values are zero
 RANK_TOL = 1e-12
@@ -60,14 +60,23 @@ class TSvd(NamedTuple):
     V: np.ndarray
 
 
+def _check_entries(x, name):
+    """Raise NonFiniteInput naming the first NaN or Inf entry of ``x``,
+    its position numbered from 1."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        index = np.argwhere(bad)[0]
+        position = ", ".join(str(i + 1) for i in index)
+        raise NonFiniteInput(f"{name} entry ({position}) is {x[tuple(index)]}")
+
+
 def _as_tensor3(t, name="tensor"):
     t = np.asarray(t, dtype=float)
     if t.ndim != 3:
         raise DimensionMismatch(f"{name} must be 3-D, got shape {t.shape}")
     if t.size == 0:
         raise DimensionMismatch(f"{name} has an empty dimension: {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"{name} contains non-finite entries")
+    _check_entries(t, name)
     return t
 
 
@@ -342,11 +351,13 @@ def matrix_svt(m, tau):
     nuclear norm.
 
     Returns the unique minimizer of ``tau*||X||_* + 0.5*||X - m||_F^2``,
-    i.e. U @ diag(max(sigma - tau, 0)) @ Vt.
+    i.e. U @ diag(max(sigma - tau, 0)) @ Vt. A NaN or Inf entry raises
+    NonFiniteInput naming it.
     """
     if not 0 <= tau:
         raise ValueError(f"threshold must be >= 0, got {tau}")
     m = np.asarray(m)
+    _check_entries(m, "matrix")
     u, s, vt = _svd(m)
     s = np.maximum(_clean_singvals(s) - tau, 0.0)
     return (u * s) @ vt

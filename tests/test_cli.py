@@ -407,6 +407,47 @@ PINNED_RESIDUALS = {
 }
 
 
+# the traced objective of each case, in every iteration
+PINNED_OBJECTIVES = {
+    2: (
+        "0x1.d3301c4a8d571p+9 0x1.7c93c9da0df92p+9 0x1.4b4038b828d90p+9 "
+        "0x1.27e349c2188c7p+9 0x1.0aa2dde6eeabap+9 0x1.dd30362713414p+8 "
+        "0x1.a870fbacda2cdp+8 0x1.7d251990c2fa2p+8 0x1.50f97b46f852fp+8 "
+        "0x1.3a9e0192e481ap+8 0x1.329d0b0d9bd3cp+8 0x1.2fb08930b8bc7p+8 "
+        "0x1.2f04635dc3d04p+8 0x1.2ef9f9739e96ap+8 0x1.2efa8f4bd34d1p+8 "
+        "0x1.2efcdda624fe1p+8 0x1.2efe9806e4251p+8 0x1.2eff9c341f723p+8 "
+        "0x1.2f002053e134ep+8 0x1.2f006234434edp+8"
+    ),
+    3: (
+        "0x1.01262ecfd95ecp+9 0x1.78d4f3bf39cc3p+8 0x1.448aa819ed799p+8 "
+        "0x1.256cd0a5797b4p+8 0x1.11da53745c7ffp+8 0x1.00dfa211688ebp+8 "
+        "0x1.e63733ac1a492p+7 0x1.cb23f0f7741f8p+7 0x1.95b7cd574a8fep+7 "
+        "0x1.7fc36f0dd880dp+7 0x1.7444b69bc8486p+7 0x1.712df59f03046p+7 "
+        "0x1.714d5d4ecd19cp+7 0x1.71486ef13702fp+7 0x1.714ccf1c860b8p+7 "
+        "0x1.71532f590821ap+7 0x1.71572e05c8198p+7 0x1.715949f6aa281p+7 "
+        "0x1.715a65baae420p+7 0x1.715af90c6e7e6p+7"
+    ),
+    4: (
+        "0x1.3714cebc9125ep+9 0x1.c975dcb8f544cp+8 0x1.8a94f87bf6984p+8 "
+        "0x1.667c2266c2eb8p+8 0x1.49fddb0e5a3fbp+8 0x1.348027b7d637ap+8 "
+        "0x1.28bde0dd9408bp+8 0x1.1cf792aa3d130p+8 0x1.06cddac7fe2f4p+8 "
+        "0x1.ecb6df518ce37p+7 0x1.e057d18b8341fp+7 0x1.dcacf6ef48159p+7 "
+        "0x1.dbd7698c37a64p+7 0x1.dbe45021501c4p+7 0x1.dbe5d725fb6adp+7 "
+        "0x1.dbe9e46570410p+7 0x1.dbece32c67bfcp+7 0x1.dbeea6ff66429p+7 "
+        "0x1.dbef9bc5bcc33p+7"
+    ),
+    5: (
+        "0x1.71e3cb4bc594ap+9 0x1.117c41fce1735p+9 0x1.d9c8ef3c0cc38p+8 "
+        "0x1.aee2cfa75fffdp+8 0x1.8dc593d952838p+8 0x1.743091b2e69aep+8 "
+        "0x1.60c06248d804cp+8 0x1.542ce644de830p+8 0x1.3d8e8629e84dbp+8 "
+        "0x1.2f65071e49df9p+8 0x1.2998ae653fa56p+8 0x1.28180b5c2af8fp+8 "
+        "0x1.283084e82bbafp+8 0x1.28153d09c2458p+8 0x1.280fcdb70c087p+8 "
+        "0x1.28106f0ce2984p+8 0x1.281187f25c258p+8 0x1.28123fdce6c5ep+8 "
+        "0x1.2812a692e36bap+8"
+    ),
+}
+
+
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("views", sorted(PINNED_VIEWS))
 def test_pipeline_pinned_with_three_to_five_views(views, trace):
@@ -428,6 +469,9 @@ def test_pipeline_pinned_with_three_to_five_views(views, trace):
     res_projection, res_code = PINNED_RESIDUALS[views]
     assert " ".join(r.res_projection.hex() for r in history) == res_projection
     assert " ".join(r.res_code.hex() for r in history) == res_code
+    if trace:
+        objectives = " ".join(r.objective.hex() for r in history)
+        assert objectives == PINNED_OBJECTIVES[views]
 
 
 def test_cluster_labels_out_roundtrips_through_eval(tmp_path, capsys):

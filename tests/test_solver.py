@@ -569,13 +569,16 @@ def test_solve_aborts_on_overflow_in_projection_step(rng):
 
 
 def test_solve_overflow_in_projection_step_warns_nothing(rng):
+    # a traced run takes the objective after the check, so it reports the
+    # same NonFinite instead of failing in the objective
     graphs = make_graphs(rng)
     message = "non-finite value in projections at iteration 1"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFinite, match=message) as info:
-            solve(graphs, gram_factors(graphs), make_config(alpha=1e308))
-    assert info.value.iteration == 1
+    for trace in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFinite, match=message) as info:
+                solve(graphs, gram_factors(graphs), make_config(alpha=1e308), trace=trace)
+        assert info.value.iteration == 1
 
 
 def recomputing_solve(graphs, config):
@@ -782,39 +785,67 @@ def test_solve_reports_a_shift_that_overflows_as_non_finite_block(monkeypatch, b
 
 
 def test_ordinary_solve_never_scans_dual_code(monkeypatch):
-    # J stays far below the bound at which J + mu (B - E) could overflow,
-    # so it is never scanned
+    # a converging solve keeps both residuals finite, so no block is ever
+    # scanned, traced or not
     graphs = np.random.default_rng(3).random((3, 5, 12))
-    scanned = []
-    check = solver._check_finite
-
-    def recording_check(state, iteration, names):
-        scanned.extend(names)
-        return check(state, iteration, names)
-
-    monkeypatch.setattr(solver, "_check_finite", recording_check)
-    codes, history = solve(graphs, gram_factors(graphs), make_config(max_iter=60))
-    assert codes.stop_reason == "tolerance"
-    assert scanned.count("projections") == len(history)
-    assert "dual_code" not in scanned
+    scans = []
+    monkeypatch.setattr(solver, "_check_finite", lambda *args: scans.append(args))
+    for trace in (False, True):
+        codes, history = solve(
+            graphs, gram_factors(graphs), make_config(max_iter=60), trace=trace)
+        assert codes.stop_reason == "tolerance" and len(history) > 10
+    assert scans == []
 
 
-def test_solve_scans_dual_code_once_its_bound_reaches_the_limit(monkeypatch):
-    # at a limit of 0 the bound never rules out overflow, so J is scanned
-    # in every iteration and an Inf in it is reported as a non-finite J
-    graphs = np.random.default_rng(3).random((2, 5, 12))
+def inject_after_iteration_1(monkeypatch, block, value, index=(1, 2, 1)):
+    """Make the multiplier step of iteration 1 leave ``value`` at ``index``
+    of the multiplier ``block`` ("dual_projection" or "dual_code")."""
     step = solver.update_multipliers
 
-    def inf_dual_code(state, gaps):
+    def injecting(state, gaps):
         dual_projection, dual_code, mu = step(state, gaps)
-        dual_code[1, 2, 3] = np.inf
+        if state.mu == MU0:
+            {"dual_projection": dual_projection, "dual_code": dual_code}[block][index] = value
         return dual_projection, dual_code, mu
 
-    monkeypatch.setattr(solver, "_DUAL_SCAN_LIMIT", 0.0)
-    monkeypatch.setattr(solver, "update_multipliers", inf_dual_code)
-    message = "non-finite value in dual_code at iteration 2"
+    monkeypatch.setattr(solver, "update_multipliers", injecting)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("block, reported", [
+    # J reaches the E step through B + J/mu; the code step maps it to a
+    # finite sign
+    ("dual_code", "dual_code"),
+    # Y reaches the Q step's right-hand side, and Q is scanned first
+    ("dual_projection", "projections"),
+], ids=["dual_code", "dual_projection"])
+def test_solve_reports_a_non_finite_multiplier_in_the_next_iteration(
+        monkeypatch, block, reported, value):
+    graphs = np.random.default_rng(3).random((2, 5, 12))
+    inject_after_iteration_1(monkeypatch, block, value)
+    message = f"non-finite value in {reported} at iteration 2"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFinite, match=message) as info:
             solve(graphs, gram_factors(graphs), make_config(max_iter=5))
     assert info.value.iteration == 2
+
+
+def test_solve_infinite_projection_meeting_an_overflowing_shift_warns_nothing(monkeypatch):
+    # Q = +inf meets Y / mu = -inf in the A step: the sum is NaN, which
+    # the A step shrinks to NaN without an "invalid value" warning
+    graphs = np.random.default_rng(3).random((2, 5, 12))
+    inject_after_iteration_1(monkeypatch, "dual_projection", -1e305, index=(0, 0, 0))
+    step = solver.update_projections
+
+    def infinite_entry(state, *args):
+        projections = step(state, *args)
+        if state.mu > MU0:
+            projections[0, 0, 0] = np.inf
+        return projections
+
+    monkeypatch.setattr(solver, "update_projections", infinite_entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite, match="non-finite value in projections at iteration 2"):
+            solve(graphs, gram_factors(graphs), make_config(max_iter=5))

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from conftest import random_tensor_corpus
-from tenhash.exceptions import DimensionMismatch
+from tenhash.exceptions import DimensionMismatch, NonFiniteInput
 from tenhash.tensor_ops import (
     _dft_matrices,
     _from_spectrum,
@@ -350,6 +350,29 @@ NAN = float("nan")
 def test_operators_reject_nan_parameters(rng, call):
     with pytest.raises(ValueError):
         call(rng.standard_normal((4, 3, 3)))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("call, name, position", [
+    (t_transpose, "tensor", "(2, 3, 1)"),
+    (lambda t: t_product(t, t.transpose(1, 0, 2)), "left operand", "(2, 3, 1)"),
+    (lambda t: t_product(np.ones((2, 4, 3)), t), "right operand", "(2, 3, 1)"),
+    (t_svd, "tensor", "(2, 3, 1)"),
+    (tensor_nuclear_norm, "tensor", "(2, 3, 1)"),
+    (lambda t: enhanced_tensor_nuclear_norm(t, 0.3), "tensor", "(2, 3, 1)"),
+    (lambda t: tensor_svt(t, 0.5), "tensor", "(2, 3, 1)"),
+    (lambda t: enhanced_tensor_svt(t, 1.0, 0.3, 0.5), "tensor", "(2, 3, 1)"),
+    (lambda t: matrix_svt(t[:, :, 0], 0.5), "matrix", "(2, 3)"),
+], ids=["t_transpose", "t_product_left", "t_product_right", "t_svd", "tnn", "etnn",
+        "tensor_svt", "etsvt", "matrix_svt"])
+def test_operators_reject_non_finite_entries_naming_the_first(rng, call, name, position, value):
+    # the first bad entry in C order, numbered from 1; a ValueError still
+    t = rng.standard_normal((4, 4, 3))
+    t[1, 2, 0] = t[3, 1, 0] = value
+    with pytest.raises(NonFiniteInput) as info:
+        call(t)
+    assert str(info.value) == f"{name} entry {position} is {value}"
+    assert isinstance(info.value, ValueError)
 
 
 def test_matrix_svt_beats_random_perturbations():
