@@ -292,7 +292,7 @@ def cmd_bench(args, parser):
         _, history = solve(graphs, gram_factors(graphs), config)
         seconds = time.perf_counter() - t0
         iters = len(history)
-        per_iter = sum(rec.seconds for rec in history) / iters if iters else 0.0
+        per_iter = sum(rec.seconds for rec in history) / iters
         rows.append({
             "n": n,
             "seconds": f"{seconds:.6f}",

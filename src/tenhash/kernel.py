@@ -29,10 +29,10 @@ def sample_anchors(n, m, seed):
         raise ValueError(f"anchor count must be >= 1, got {m}")
     if m > n:
         raise AnchorCountExceedsSamples(f"asked for {m} anchors from {n} samples")
-    rng = np.random.default_rng(seed)
+    # one call draws the m targets from the same stream as m scalar calls
+    targets = np.random.default_rng(seed).integers(np.arange(m), n).tolist()
     pool = np.arange(n)
-    for i in range(m):
-        j = int(rng.integers(i, n))
+    for i, j in enumerate(targets):
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:m].copy()
 

@@ -20,11 +20,11 @@ stack (:func:`gram_factors`), the factors are passed to every
 :func:`solve` on that stack, and every linear solve is two GEMMs.
 
 Each step returns only the block it updates. One product is kept across
-iterations: phi B' (for the projection step), whose slice of view p is
-formed again, in place, only after a code bit of view p flips. The
-objective reads only the state and the graphs, and
-nothing is formed that only a trace reads: the objective is computed only
-when :func:`solve` is asked for it (``trace=True``).
+iterations: phi B' (for the projection step), formed again, in place and
+for every view, only after a code step flips some bit. The objective
+reads only the state and the graphs, and nothing is formed that only a
+trace reads: the objective is computed only when :func:`solve` is asked
+for it (``trace=True``).
 
 Every block is one view-major array with view p at ``x[p]``: graphs are
 v x m x n, projections (and A, Y) v x m x bits, codes (and E, J)
@@ -363,20 +363,18 @@ def solve(graphs, factors, config, trace=False):
     state = init_state(graphs, config)
     q_size = np.sqrt(state.aux_projection.size)
     b_size = np.sqrt(state.aux_code.size)
-    code_count = state.codes[0].size
     history = []
     stop_reason = "max_iter"
-    # phi B': the slice of a view is formed in the iteration after its
-    # codes changed (and in iteration 1), by the dgemm the batched product
-    # runs for that view, so it is bit-identical to forming phi B' afresh
+    # phi B': formed in iteration 1 and again in the iteration after any
+    # code bit flipped, by one batched product; it depends only on the
+    # codes, so it is bit-identical to forming it afresh every iteration
     graph_codes = np.empty(state.projections.shape)
-    flips = [1] * len(graphs)
+    flips = 1
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         mu_used = state.mu
-        for p, flipped in enumerate(flips):
-            if flipped:
-                np.matmul(graphs[p], state.codes[p].T, out=graph_codes[p])
+        if flips:
+            np.matmul(graphs, state.codes.mT, out=graph_codes)
         # the blocks each step replaces are reused as the buffers of later
         # steps, so an iteration allocates one new code-sized array (the
         # codes) and frees one (the old J): the old Q is dead after the Q
@@ -387,9 +385,8 @@ def solve(graphs, factors, config, trace=False):
         state.projections = update_projections(state, graph_codes, config, factors)
         old_codes = state.codes
         state.codes = update_codes(state, graphs, config, scratch=state.aux_code)
-        # on +-1 codes, old . new = count - 2 * flips; the sum is exact
-        flips = [(code_count - int(np.vdot(new, old))) // 2
-                 for new, old in zip(state.codes, old_codes)]
+        # on +-1 codes, old . new = size - 2 * flips; the sum is exact
+        flips = (state.codes.size - int(np.vdot(state.codes, old_codes))) // 2
         state.aux_projection = update_aux_projection(
             state, config, out=state.aux_projection, work=old_projections)
         state.aux_code = update_aux_code(state, config, out=state.aux_code, work=old_codes)
@@ -413,7 +410,7 @@ def solve(graphs, factors, config, trace=False):
             res_code=res_b,
             mu=mu_used,
             seconds=time.perf_counter() - t0,
-            bits_flipped=sum(flips),
+            bits_flipped=flips,
         ))
         if max(res_q / q_size, res_b / b_size) < config.tol:
             stop_reason = "tolerance"

@@ -43,9 +43,11 @@ def test_sample_anchors_single():
 
 
 def test_sample_anchors_matches_fisher_yates_oracle():
-    for seed in (0, 1, 17, 255):
-        want = oracles.fisher_yates_sample(100, 10, seed)
-        assert sorted(sample_anchors(100, 10, seed=seed).tolist()) == sorted(want)
+    # the order, not only the set: anchor j is row j of every graph
+    for n, m in [(1, 1), (9, 1), (30, 30), (100, 10), (800, 300), (20000, 1000)]:
+        for seed in (0, 17, 2**40 + 3):
+            want = oracles.fisher_yates_sample(n, m, seed)
+            assert sample_anchors(n, m, seed=seed).tolist() == want
 
 
 def test_sample_anchors_aligned_across_views(rng):

@@ -628,9 +628,9 @@ def record_graph_codes(monkeypatch):
     return seen
 
 
-def assert_refreshed_per_view(graphs, seen, history):
-    """phi B' is one array, refreshed in place: it always equals
-    graphs @ codes.mT bit-for-bit, and the slice of a view changes exactly
+def assert_graph_codes_exact(graphs, seen, history):
+    """phi B' is one array, formed again in place: it always equals
+    graphs @ codes.mT bit-for-bit, so the slice of a view changes exactly
     after an iteration that flipped a bit of that view. Returns the flips
     of each view in each iteration but the last."""
     assert len({id(graph_codes) for graph_codes, _, _ in seen}) == 1
@@ -675,18 +675,18 @@ def test_solve_reuse_is_exact_and_happens(monkeypatch):
     assert 0 in flips and any(flips[1:])
     # the enhanced TNNs of Q and B in every traced iteration
     assert len(etnn_calls) == 2 * len(history)
-    per_view = assert_refreshed_per_view(graphs, seen, history)
+    per_view = assert_graph_codes_exact(graphs, seen, history)
     # some iterations flip bits of every view, some of one view only
     assert [sum(f > 0 for f in flips) for flips in per_view if any(flips)] == [3, 2, 1, 1]
 
 
-def test_solve_refreshes_graph_codes_of_the_flipped_views_only(monkeypatch):
+def test_solve_graph_codes_stay_exact_when_some_views_flip(monkeypatch):
     # three views, where most of the flipping iterations after the first
     # flip bits of view 2 alone (the single-view flips above are in view 1)
     graphs = np.random.default_rng(6).random((3, 6, 24))
     seen = record_graph_codes(monkeypatch)
     _, history = solve(graphs, gram_factors(graphs), make_config(alpha=0.5, bits=3))
-    per_view = assert_refreshed_per_view(graphs, seen, history)
+    per_view = assert_graph_codes_exact(graphs, seen, history)
     assert [flips for flips in per_view if any(flips)] == [
         [1, 1, 2], [0, 1, 0], [0, 1, 0], [0, 2, 0], [0, 1, 0], [0, 1, 0]]
 
