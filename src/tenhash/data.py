@@ -4,8 +4,10 @@ On-disk format: a directory holding ``view_1.csv`` .. ``view_v.csv``
 (one row per feature, one comma-separated column per sample, no header),
 an optional ``labels.csv`` with one integer per line, and an optional
 ``meta.json`` manifest which is validated when present. Values are
-written with 17 significant digits so a save/load round trip is exact;
-a NaN or infinite value is rejected on load with its line and column.
+written with 17 significant digits so a save/load round trip is exact.
+View and label files are read by one reader, numpy's C text reader; a
+file it refuses, or one holding a NaN or infinite value, is rejected
+naming its first bad line (and column).
 """
 
 import json
@@ -30,8 +32,8 @@ from .exceptions import (
 _VIEW_RE = re.compile(r"^view_(\d+)\.csv$")
 
 # the ASCII file, group, record and unit separators: str.isspace() accepts
-# them, so numpy's reader strips them around a cell, and float() does not
-_SEPARATORS = tuple(bytes([c]) for c in range(0x1C, 0x20))
+# them, so numpy's reader would strip one around a cell
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -49,95 +51,103 @@ class MultiViewData:
         return [v.shape[0] for v in self.views]
 
 
-def _parse_view_file(path):
-    """Read one view file into a float64 array with numpy's C text reader,
-    which holds no Python object per value and converts each cell with
-    the same correctly rounded conversion as ``float()``. Where the reader
-    refuses the file, finds no data or returns a NaN or Inf, the file is
-    read again line by line, which raises the typed error naming the
-    line (and column) or returns what ``float()`` accepts and the reader
-    does not (``1_0``, non-ASCII digits, whitespace-only lines). A file
-    holding an ASCII separator byte (0x1c to 0x1f) goes to the line loop
-    straight away, since the reader would strip one around a cell."""
-    if _has_separators(path):
-        return _parse_view_lines(path)
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            view = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        view = None
-    if view is not None and view.size and np.isfinite(view).all():
-        return view
-    return _parse_view_lines(path)
+def _loadtxt(source, dtype):
+    """numpy's C text reader, on a path or a list of lines: comma-separated
+    cells, no comment character, a 2-D result. A warning it would give (an
+    input with no data) is raised instead."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+
+
+def _read_numbers(path, dtype, columns=None):
+    """Read a numeric text file into a 2-D ``dtype`` array: one row per
+    non-empty line, one column per comma-separated cell, as many as the
+    first line holds or else ``columns``.
+
+    Every value comes from one :func:`_loadtxt` of the whole file, which
+    holds no Python object per value. Where it refuses the file, finds no
+    data, returns a NaN or Inf or the wrong number of columns, or the file
+    holds an ASCII separator byte, :func:`_reject` names the bad line.
+    """
+    if not _has_separators(path):
+        try:
+            table = _loadtxt(path, dtype)
+        except (ValueError, Warning):
+            pass
+        else:
+            if np.isfinite(table).all() and columns in (None, table.shape[1]):
+                return table
+    _reject(path, dtype, columns)
 
 
 def _has_separators(path, chunk=1 << 18):
-    """Whether the file holds one of the bytes in _SEPARATORS, scanned in
-    chunks so that no copy of the whole file is held."""
+    """Whether the file holds one of _SEPARATORS, scanned in chunks so
+    that no copy of the whole file is held."""
     with open(path, "rb") as fh:
         while block := fh.read(chunk):
-            if any(sep in block for sep in _SEPARATORS):
+            if any(sep in block for sep in _SEPARATORS.encode()):
                 return True
     return False
 
 
-def _parse_view_lines(path):
-    """The line-by-line reader behind :func:`_parse_view_file`: every
-    cell goes through ``float()``, and the first bad row or cell raises
-    RaggedRows or ParseError with its line (and column)."""
-    rows = []
-    linenos = []  # file line of each kept row, so blank lines do not shift positions
-    width = None
+def _reject(path, dtype, columns):
+    """Raise the error for a file :func:`_read_numbers` will not return.
+
+    One scan judges each non-empty line with the same reader and raises,
+    for the first bad line, ParseError naming the file and line when the
+    line holds a separator byte, a cell the reader refuses (with its
+    column), a NaN or Inf (with its column) or a number of cells other
+    than ``columns``, and RaggedRows when it holds a number of cells other
+    than the first line's. A file with no bad line holds no value.
+    """
+    width = columns
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line == "\n":
                 continue
-            cells = line.split(",")
+            where = f"{path}: line {lineno}"
+            if any(sep in line for sep in _SEPARATORS):
+                raise ParseError(f"{where}: ASCII separator byte", path=path, line=lineno)
+            try:
+                row = _loadtxt([line], dtype)[0]
+            except (ValueError, Warning) as exc:
+                col, cell = _refused_cell(line, dtype)
+                raise ParseError(
+                    f"{where}: cannot read {cell!r} in column {col} as {np.dtype(dtype)}",
+                    path=path, line=lineno,
+                ) from exc
             if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise RaggedRows(
-                    f"{path}: line {lineno} has {len(cells)} columns, "
-                    f"expected {width}",
+                width = row.size
+            elif row.size != width:
+                raise (ParseError if columns else RaggedRows)(
+                    f"{where} has {row.size} columns, expected {width}",
                     path=path, line=lineno,
                 )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
+            bad = np.flatnonzero(~np.isfinite(row))
+            if bad.size:
                 raise ParseError(
-                    f"{path}: line {lineno}: {exc}", path=path, line=lineno
-                ) from exc
-            linenos.append(lineno)
-    if not rows:
-        raise ParseError(f"{path}: file is empty", path=path)
-    view = np.asarray(rows, dtype=float)
-    bad = ~np.isfinite(view)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ParseError(
-            f"{path}: line {linenos[row]}, column {col + 1}: non-finite "
-            f"value {view[row, col]}", path=path, line=linenos[row],
-        )
-    return view
+                    f"{where}, column {bad[0] + 1}: non-finite value {row[bad[0]]}",
+                    path=path, line=lineno,
+                )
+    raise ParseError(f"{path}: file is empty", path=path)
+
+
+def _refused_cell(line, dtype):
+    """The column, from 1, and text of the first cell of a line that the
+    reader refuses on its own. A line it refuses has one, since the reader
+    splits a line at commas alone and reads each cell by itself."""
+    for col, cell in enumerate(line.rstrip("\n").split(","), start=1):
+        try:
+            _loadtxt([cell], dtype)
+        except (ValueError, Warning):
+            return col, cell
 
 
 def parse_labels_file(path):
-    """Read a label file: one integer per line, blank lines skipped."""
-    values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}: line {lineno}: {exc}", path=path, line=lineno
-                ) from exc
-    return np.asarray(values, dtype=int)
+    """Read a label file, one integer per line with blank lines skipped,
+    into a 1-D int64 array."""
+    return _read_numbers(path, np.int64, columns=1)[:, 0]
 
 
 def load_multiview(path):
@@ -169,7 +179,7 @@ def load_multiview(path):
     n = None
     for p in range(1, v + 1):
         view_path = os.path.join(path, numbered[p])
-        view = _parse_view_file(view_path)
+        view = _read_numbers(view_path, np.float64)
         if n is None:
             n = view.shape[1]
         elif view.shape[1] != n:

@@ -1,6 +1,11 @@
 import argparse
 import csv
+import functools
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -448,10 +453,13 @@ PINNED_OBJECTIVES = {
 }
 
 
-@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("views", sorted(PINNED_VIEWS))
-def test_pipeline_pinned_with_three_to_five_views(views, trace):
-    dims, seed, labels, flips = PINNED_VIEWS[views]
+PINNED_CASES = tuple((views, trace) for views in sorted(PINNED_VIEWS) for trace in (False, True))
+
+
+def pinned_case(views, trace):
+    """Run one pinned pipeline in this process; returns what the pins and
+    the cross-thread check compare, the codes as SHA-256 digests."""
+    dims, seed = PINNED_VIEWS[views][:2]
     if views == 2:
         clean = gen_gaussian_clusters(k=4, v=2, n=200, dims=dims, sep=4.0, seed=seed)
         data = MultiViewData(
@@ -463,15 +471,64 @@ def test_pipeline_pinned_with_three_to_five_views(views, trace):
         anchors, bits = 90, 16
     codes, history, pred, _ = cli._pipeline(
         data, anchors, bits, 0.01, 0.3, 4, 0, 100, 1e-6, True, trace=trace)
-    assert "".join(map(str, pred)) == labels
-    assert [r.bits_flipped for r in history] == flips
-    assert codes.stop_reason == "tolerance"
-    res_projection, res_code = PINNED_RESIDUALS[views]
-    assert " ".join(r.res_projection.hex() for r in history) == res_projection
-    assert " ".join(r.res_code.hex() for r in history) == res_code
+    return {
+        "labels": "".join(map(str, pred)),
+        "flips": [r.bits_flipped for r in history],
+        "iterations": len(history),
+        "stop_reason": codes.stop_reason,
+        "res_projection": " ".join(r.res_projection.hex() for r in history),
+        "res_code": " ".join(r.res_code.hex() for r in history),
+        "objectives": " ".join(r.objective.hex() for r in history) if trace else None,
+        "per_view": hashlib.sha256(codes.per_view.tobytes()).hexdigest(),
+        "fused": hashlib.sha256(codes.fused.tobytes()).hexdigest(),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_cases_at(threads, cases=PINNED_CASES):
+    """:func:`pinned_case` of each (views, trace) of ``cases``, run in a
+    child process whose OpenBLAS uses ``threads`` threads, keyed by case.
+    Skips the calling test when the child has fewer CPUs than ``threads``,
+    since OpenBLAS then caps its thread count at the CPU count."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, __file__, json.dumps(cases)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    if result["cpus"] < threads:
+        pytest.skip(f"the child process has {result['cpus']} CPU(s), so OpenBLAS "
+                    f"cannot run the {threads} threads the check needs")
+    return dict(zip(cases, result["cases"]))
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("views", sorted(PINNED_VIEWS))
+def test_pipeline_pinned_with_three_to_five_views(views, trace):
+    # The pins were recorded with two OpenBLAS threads, and the residuals
+    # and objectives move with the thread count, so each case runs in a
+    # child process at two threads whatever the thread count of this one.
+    # On a host that gives the child one CPU, OpenBLAS runs one thread
+    # whatever it is asked for, and the test is skipped saying so.
+    got = pinned_cases_at(2)[views, trace]
+    labels, flips = PINNED_VIEWS[views][2:]
+    assert got["labels"] == labels
+    assert got["flips"] == flips
+    assert got["stop_reason"] == "tolerance"
+    assert (got["res_projection"], got["res_code"]) == PINNED_RESIDUALS[views]
     if trace:
-        objectives = " ".join(r.objective.hex() for r in history)
-        assert objectives == PINNED_OBJECTIVES[views]
+        assert got["objectives"] == PINNED_OBJECTIVES[views]
+
+
+def test_pipeline_codes_identical_across_blas_thread_counts():
+    # The cross-thread half of the README's determinism contract, on the
+    # salt-and-pepper case: one and two OpenBLAS threads may round the
+    # residuals differently, but not the codes or anything derived from them.
+    one = pinned_cases_at(1, ((2, False),))[2, False]
+    two = pinned_cases_at(2)[2, False]
+    for key in ("per_view", "fused", "labels", "iterations", "stop_reason", "flips"):
+        assert one[key] == two[key], key
 
 
 def test_cluster_labels_out_roundtrips_through_eval(tmp_path, capsys):
@@ -630,3 +687,10 @@ def test_bench_row_count_and_fixed_cap(tmp_path):
     assert [int(r["n"]) for r in rows] == [300, 600]
     assert all(int(r["iterations"]) == 3 for r in rows)
     assert all(float(r["seconds"]) >= 0 for r in rows)
+
+
+if __name__ == "__main__":
+    # the child process of pinned_cases_at: argv[1] is the JSON list of cases
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cases = [pinned_case(views, trace) for views, trace in json.loads(sys.argv[1])]
+    print(json.dumps({"cpus": cpus, "cases": cases}))

@@ -117,18 +117,18 @@ def test_load_rejects_malformed_meta(tmp_path, meta):
     assert "meta.json" in str(info.value)
 
 
-# the C reader's edge cases: each either loads as the line reader would or
-# falls back to it, which names the file and line; neither may warn
+# numpy's C reader gives every value; a file it will not return is scanned
+# once with the same reader, which names the file and line; neither may warn
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text, want", [
     ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
-    ("1,2\n   \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
     ("1.5,-2,3e2\n", [[1.5, -2.0, 300.0]]),
     ("1\n2\n3\n", [[1.0], [2.0], [3.0]]),
-    ("1_0,2\n", [[10.0, 2.0]]),
-], ids=["crlf", "whitespace-line", "single-row", "single-column", "underscore"])
+    (" 1 ,\t2\n", [[1.0, 2.0]]),
+], ids=["crlf", "blank-line", "single-row", "single-column", "padded-cells"])
 def test_load_view_edge_cases(tmp_path, text, want):
     (tmp_path / "view_1.csv").write_bytes(text.encode())
     view = load_multiview(tmp_path).views[0]
@@ -143,20 +143,73 @@ def test_load_view_edge_cases(tmp_path, text, want):
     # numpy's reader would strip an ASCII separator around a cell
     ("1\x1c,2\n3,4\n", 1),
     ("1,2\n3,\x1f4\n", 2),
-], ids=["comment", "trailing-comma", "file-separator", "unit-separator"])
+    # float() reads these three, numpy's reader does not
+    ("1,2\n   \n3,4\n", 2),
+    ("1_0,2\n", 1),
+    ("1,\u0663\n", 1),
+    ("\n\n  \n", 3),
+], ids=["comment", "trailing-comma", "file-separator", "unit-separator",
+        "whitespace-line", "underscore", "non-ascii-digit", "blank-then-whitespace"])
 def test_load_rejects_unreadable_cell_naming_line(tmp_path, text, line):
-    (tmp_path / "view_1.csv").write_text(text)
+    (tmp_path / "view_1.csv").write_text(text, encoding="utf-8")
     with pytest.raises(ParseError, match=f"view_1.csv: line {line}: ") as info:
         load_multiview(tmp_path)
     assert info.value.line == line
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("text", ["", "\n\n  \n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("text, column", [
+    ("1,2\nx,4\n", 1), ("1,2\n3,1_0\n", 2), ("1,2\n3,\u0663\n", 2),
+], ids=["letter", "underscore", "non-ascii-digit"])
+def test_load_refused_cell_names_its_column(tmp_path, text, column):
+    (tmp_path / "view_1.csv").write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"view_1.csv: line 2: cannot read .* in column {column} as float64$"):
+        load_multiview(tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "blank-lines"])
 def test_load_rejects_view_without_values(tmp_path, text):
     (tmp_path / "view_1.csv").write_text(text)
     with pytest.raises(ParseError, match="view_1.csv: file is empty$"):
         load_multiview(tmp_path)
+
+
+def test_load_labels_as_int64(tmp_path):
+    (tmp_path / "view_1.csv").write_text("1,2,3,4\n")
+    (tmp_path / "labels.csv").write_text("0\n\n 2\n1\r\n-3\n")
+    labels = load_multiview(tmp_path).labels
+    assert labels.dtype == np.int64 and labels.ndim == 1
+    assert labels.tolist() == [0, 2, 1, -3]
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_rejects_empty_labels_file(tmp_path):
+    (tmp_path / "view_1.csv").write_text("1,2\n")
+    (tmp_path / "labels.csv").write_text("\n")
+    with pytest.raises(ParseError, match="labels.csv: file is empty$"):
+        load_multiview(tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, line", [
+    ("0\n1,2\n", 2),
+    ("0,1\n2,3\n", 1),
+    ("0\n\n1.0\n", 3),
+    ("0\n1_0\n", 2),
+    ("0\n\u0663\n", 2),
+    ("0\n  \n", 2),
+    ("0\n1\x1e\n", 2),
+    ("0\n99999999999999999999\n", 2),
+], ids=["comma", "commas-everywhere", "float", "underscore", "non-ascii-digit",
+        "whitespace-line", "record-separator", "overflow"])
+def test_load_rejects_bad_label_naming_line(tmp_path, text, line):
+    (tmp_path / "view_1.csv").write_text("1,2\n")
+    (tmp_path / "labels.csv").write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"labels.csv: line {line}") as info:
+        load_multiview(tmp_path)
+    assert info.value.line == line
+    assert info.value.path.endswith("labels.csv")
 
 
 def test_load_peak_memory_within_twice_the_view(tmp_path):

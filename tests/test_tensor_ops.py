@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from conftest import random_tensor_corpus
-from tenhash.exceptions import DimensionMismatch, NonFiniteInput
+from tenhash.exceptions import DimensionMismatch, NonFiniteInput, SvdNonConvergence
 from tenhash.tensor_ops import (
     _dft_matrices,
     _from_spectrum,
@@ -611,3 +611,23 @@ def test_shrinkage_of_a_non_finite_norm_is_nan(value, rng):
         warnings.simplefilter("error", RuntimeWarning)
         got = shrink_unchecked(np.moveaxis(block, 0, 2), 0.5, 0.1, 0.2, out=out)
     assert np.shares_memory(got, out) and np.isnan(out).all()
+
+
+@pytest.mark.parametrize("routine, operator", [
+    ("eigh", lambda t: enhanced_tensor_svt(t, 1.0, 0.1, 0.1)),
+    ("eigh", lambda t: tensor_svt(t, 0.1)),
+    ("svd", lambda t: enhanced_tensor_svt(t, 1.0, 0.1, 0.1)),
+    ("svd", lambda t: matrix_svt(t[:, :, 0], 0.1)),
+    ("svd", t_svd),
+], ids=["eigh-enhanced_tensor_svt", "eigh-tensor_svt", "svd-enhanced_tensor_svt",
+        "svd-matrix_svt", "svd-t_svd"])
+def test_lapack_failure_reaches_caller_as_svd_non_convergence(routine, operator, rng, monkeypatch):
+    # _factor's eigh and the SVD of matrix_svt (stage one of the enhanced
+    # shrinkage) and t_svd; three views give real and complex slices
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(SvdNonConvergence, match=f"^{routine} did not converge$") as info:
+        operator(rng.standard_normal((4, 5, 3)))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
