@@ -97,12 +97,15 @@ def _reject(path, dtype, columns):
     One scan judges each non-empty line with the same reader and raises,
     for the first bad line, ParseError naming the file and line when the
     line holds a separator byte, a cell the reader refuses (with its
-    column), a NaN or Inf (with its column) or a number of cells other
-    than ``columns``, and RaggedRows when it holds a number of cells other
-    than the first line's. A file with no bad line holds no value.
+    column; a byte that is not text in the file's encoding makes its cell
+    one), a NaN or Inf (with its column) or a number of cells other than
+    ``columns``, and RaggedRows when it holds a number of cells other than
+    the first line's. A file with no bad line holds no value.
     """
     width = columns
-    with open(path) as fh:
+    # a byte the file's encoding cannot decode reads as a lone surrogate
+    # (U+DC80..U+DCFF), which no cell may hold, so its line is refused
+    with open(path, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line == "\n":
                 continue

@@ -167,26 +167,21 @@ def _from_spectrum(packed, out=None):
     return np.moveaxis(out, 0, 2)
 
 
-def _all_slices(half, d3):
-    """Extend values indexed by independent slice (last axis) to all d3
-    slices; slice j and its mirror d3 - j share values."""
-    j = np.arange(d3)
-    return half[..., np.minimum(j, d3 - j)]
-
-
 def _factor(packed, vectors=True, zero_bound=None):
-    """Singular values of every independent slice of a packed spectrum,
-    and a rebuild.
+    """The core matrix of a packed spectrum, and a rebuild.
 
-    Returns ``(s, rebuild)``: ``s`` is (d3//2+1, min(d1, d2)), row j for
-    slice j, each row non-increasing and zero below the rounding floor;
-    ``rebuild(coeff)`` returns the packing with those singular values
-    replaced by the real ``coeff`` of the same shape, written into ``out``
-    if given (a contiguous array of the packing's shape that is not the
-    packing). Once it has read the packing's rows of the complex slices'
-    real parts it uses them as scratch, so it runs once per packing and
-    leaves those rows overwritten. With ``vectors=False`` no eigenvectors
-    are computed and ``rebuild`` is None.
+    Returns ``(cm, rebuild)``. ``cm`` is the min(d1, d2) x d3 core matrix:
+    column j holds the singular values of spectral slice j, non-increasing
+    and zero below the rounding floor, and column d3 - j the same values as
+    column j (the slices are conjugates). ``rebuild(coeff)`` takes real
+    coefficients in the same layout, reads the d3//2+1 independent columns
+    and returns the packing with each slice's singular values replaced by
+    its column of ``coeff``, written into ``out`` if given (a contiguous
+    array of the packing's shape that is not the packing). Once it has read
+    the packing's rows of the complex slices' real parts it uses them as
+    scratch, so it runs once per packing and leaves those rows overwritten.
+    With ``vectors=False`` no eigenvectors are computed and ``rebuild`` is
+    None.
 
     The real slices are factored in real arithmetic, the complex slices
     R + iI through their Hermitian Gram matrices, formed from real
@@ -204,6 +199,7 @@ def _factor(packed, vectors=True, zero_bound=None):
     and the factor covers the rounding of the computed singular values.
     """
     d3, d1, d2 = packed.shape
+    h = d3 // 2 + 1
     real, re, im = _rows(d3)
     long = max(d1, d2)
     # work on the wide orientation: a tall packing is handled through its
@@ -221,7 +217,7 @@ def _factor(packed, vectors=True, zero_bound=None):
         largest = max(np.linalg.norm(gram, axis=(1, 2)).max() for _, gram in grams)
         if np.sqrt(largest) * (1 + 1e-6) <= zero_bound:
             return None
-    vals = np.empty((d3 // 2 + 1, min(d1, d2)))
+    vals = np.empty((h, min(d1, d2)))
     bases = []
     try:
         for rows, gram in grams:
@@ -234,9 +230,11 @@ def _factor(packed, vectors=True, zero_bound=None):
         raise SvdNonConvergence(str(exc)) from exc
     vals = vals[:, ::-1]
     vals = np.where(vals > long * np.finfo(float).eps * vals[:, :1], vals, 0.0)
-    s = np.sqrt(vals)
+    # slice j and its mirror d3 - j share singular values
+    j = np.arange(d3)
+    cm = np.sqrt(vals).T[:, np.minimum(j, d3 - j)]
     if not vectors:
-        return s, None
+        return cm, None
 
     def apply(p, x, out):
         # a tall packing's slices take P from the right: (P X^T)^T = X P^T
@@ -246,8 +244,8 @@ def _factor(packed, vectors=True, zero_bound=None):
         if out is None:
             out = np.empty_like(packed)
         # the slice itself is reused, so spurious null-space directions
-        # of the Gram matrix self-cancel
-        ratio = np.divide(coeff, s, out=np.zeros_like(coeff), where=s > 0)
+        # of the Gram matrix self-cancel; one row per independent slice
+        ratio = np.divide(coeff, cm, out=np.zeros_like(coeff), where=cm > 0)[:, :h].T
         proj = [(basis * ratio[rows][:, None, :]) @ basis.conj().mT for rows, basis in bases]
         apply(proj[0], packed[real], out[real])
         if d3 >= 3:
@@ -260,7 +258,7 @@ def _factor(packed, vectors=True, zero_bound=None):
             out_i += apply(p_r, i, r)
         return out
 
-    return s, rebuild
+    return cm, rebuild
 
 
 def t_transpose(t):
@@ -326,24 +324,28 @@ def t_svd(t):
     )
 
 
+def _core_matrix(t):
+    """The core matrix of a tensor (see :func:`_factor`), after the checks
+    of :func:`_as_tensor3`."""
+    return _factor(_spectrum(_as_tensor3(t)), vectors=False)[0]
+
+
 def tensor_nuclear_norm(t):
     """Tensor nuclear norm: mean over spectral slices of the matrix
-    nuclear norm, i.e. (1/d3) * sum_j ||fft(t)[:, :, j]||_*."""
-    t = _as_tensor3(t)
-    s, _ = _factor(_spectrum(t), vectors=False)
-    return _all_slices(s.T, t.shape[2]).sum() / t.shape[2]
+    nuclear norm, i.e. (1/d3) * sum_j ||fft(t)[:, :, j]||_*, the sum of the
+    core matrix over d3."""
+    cm = _core_matrix(t)
+    return cm.sum() / cm.shape[1]
 
 
 def enhanced_tensor_nuclear_norm(t, zeta):
-    """Nuclear norm of the core matrix (column j the singular values of
-    spectral slice j) plus zeta times the tensor nuclear norm of ``t``."""
+    """Nuclear norm of the core matrix (see :func:`_factor`) plus zeta
+    times the tensor nuclear norm of ``t``."""
     # every comparison with NaN is False, so NaN is rejected too
     if not 0 <= zeta:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
-    t = _as_tensor3(t)
-    s, _ = _factor(_spectrum(t), vectors=False)
-    cm = _all_slices(s.T, t.shape[2])
-    return float(_svd(cm, compute_uv=False).sum() + zeta * cm.sum() / t.shape[2])
+    cm = _core_matrix(t)
+    return float(_svd(cm, compute_uv=False).sum() + zeta * cm.sum() / cm.shape[1])
 
 
 def matrix_svt(m, tau):
@@ -367,21 +369,21 @@ def tensor_svt(t, tau):
     """Proximal operator of the tensor nuclear norm.
 
     Applies :func:`matrix_svt` with threshold ``tau`` to every spectral
-    slice, then transforms back. With the 1/d3 norm convention this is
+    slice, i.e. shrinks the core matrix (see :func:`_factor`) by ``tau``,
+    then transforms back. With the 1/d3 norm convention this is
     the exact minimizer of ``tau*||X||_tnn + 0.5*||X - t||_F^2``.
     """
     if not 0 <= tau:
         raise ValueError(f"threshold must be >= 0, got {tau}")
-    t = _as_tensor3(t)
-    s, rebuild = _factor(_spectrum(t))
-    return _from_spectrum(rebuild(np.maximum(s - tau, 0.0)))
+    cm, rebuild = _factor(_spectrum(_as_tensor3(t)))
+    return _from_spectrum(rebuild(np.maximum(cm - tau, 0.0)))
 
 
 def enhanced_tensor_svt(t, mu, zeta, lam):
     """Two-stage shrinkage behind the enhanced tensor nuclear norm.
 
     Stage one factors every spectral slice of ``t``, gathers the singular
-    values into the core matrix (column j for slice j) and applies
+    values into the core matrix (see :func:`_factor`) and applies
     :func:`matrix_svt` with threshold ``lam/mu``, forcing the core matrix
     itself to be low rank. Stage two rebuilds every slice from its own
     singular vectors with the shrunk core column as its singular values,
@@ -454,8 +456,7 @@ def shrink_unchecked(t, mu, zeta, lam, out=None, work=None):
     if factored is None:
         out.fill(0.0)
         return np.moveaxis(out, 0, 2)
-    s, rebuild = factored
-    cm = _all_slices(s.T, d3)
+    cm, rebuild = factored
     # stage one: global SVT on the core matrix couples the slices
     cm_low = matrix_svt(cm, lam / mu)
     # stage two: the rebuilt slice U diag(c) V^H has singular values |c|,
@@ -464,4 +465,4 @@ def shrink_unchecked(t, mu, zeta, lam, out=None, work=None):
     # a vanished singular value leaves no principled direction to put
     # re-grown energy on; keep those coefficients at zero
     shrunk = np.where(cm > 0, shrunk, 0.0)
-    return _from_spectrum(rebuild(shrunk[:, : d3 // 2 + 1].T, out=work), out=out)
+    return _from_spectrum(rebuild(shrunk, out=work), out=out)

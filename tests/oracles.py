@@ -208,6 +208,62 @@ def projection_residual(graphs, state, config, q):
     return worst
 
 
+def reference_solve(graphs, config, mu0, rho, mu_max):
+    """The solver's whole loop from its update rules, one view at a time,
+    with no buffer reuse, cached product or shortcut. Per iteration:
+
+    - Q_p = solve(2 alpha phi_p phi_p' + mu I, 2 alpha phi_p B_p' + mu A_p - Y_p);
+    - B_p = sign(alpha Q_p' phi_p + (mu E_p - J_p) / 2), with sign(0) = +1;
+    - A and E by :func:`naive_enhanced_tensor_svt` of the view-stacked
+      Q + Y/mu and B + J/mu (the view as mode 3), lam = 1/sqrt(max(rows, v) n);
+    - Y_p += mu (Q_p - A_p), J_p += mu (B_p - E_p), mu = min(rho mu, mu_max);
+
+    stopping once both primal residuals, each over the square root of its
+    element count, are below config.tol, or after config.max_iter
+    iterations. The start is the solver's: seeded normal projections over
+    sqrt(m), the signs of their products with the graphs as codes, A = Q,
+    E = B and zero multipliers. Returns the v x bits x n codes, their
+    majority vote (ties +1), one (||Q - A||_F, ||B - E||_F, code entries
+    changed) per iteration and the stop reason.
+    """
+    graphs = [np.asarray(phi, dtype=float) for phi in graphs]
+    v, (m, n), bits, alpha = len(graphs), graphs[0].shape, config.bits, config.alpha
+
+    def sign(x):
+        return np.where(x >= 0, 1.0, -1.0)
+
+    draw = np.random.default_rng(config.seed).standard_normal((v, m, bits)) / np.sqrt(m)
+    q = list(draw)
+    b = [sign(qp.T @ phi) for qp, phi in zip(q, graphs)]
+    a, e = [qp.copy() for qp in q], [bp.copy() for bp in b]
+    y, j = [np.zeros((m, bits)) for _ in q], [np.zeros((bits, n)) for _ in b]
+    mu, records, stop = mu0, [], "max_iter"
+
+    def shrink(blocks, duals, rows):
+        stacked = np.stack([x + d / mu for x, d in zip(blocks, duals)], axis=2)
+        out = naive_enhanced_tensor_svt(stacked, mu, config.zeta, 1.0 / np.sqrt(max(rows, v) * n))
+        return [out[:, :, p] for p in range(v)]
+
+    for _ in range(config.max_iter):
+        q = [np.linalg.solve(2 * alpha * phi @ phi.T + mu * np.eye(m),
+                             2 * alpha * phi @ bp.T + mu * ap - yp)
+             for phi, bp, ap, yp in zip(graphs, b, a, y)]
+        old = b
+        b = [sign(alpha * qp.T @ phi + (mu * ep - jp) / 2)
+             for qp, phi, ep, jp in zip(q, graphs, e, j)]
+        a, e = shrink(q, y, m), shrink(b, j, bits)
+        res_q = math.sqrt(sum(np.sum((qp - ap) ** 2) for qp, ap in zip(q, a)))
+        res_b = math.sqrt(sum(np.sum((bp - ep) ** 2) for bp, ep in zip(b, e)))
+        y = [yp + mu * (qp - ap) for yp, qp, ap in zip(y, q, a)]
+        j = [jp + mu * (bp - ep) for jp, bp, ep in zip(j, b, e)]
+        mu = min(rho * mu, mu_max)
+        records.append((res_q, res_b, sum(int(np.sum(bp != op)) for bp, op in zip(b, old))))
+        if max(res_q / math.sqrt(v * m * bits), res_b / math.sqrt(v * bits * n)) < config.tol:
+            stop = "tolerance"
+            break
+    return np.stack(b), sign(sum(b)), records, stop
+
+
 # ---------------------------------------------------------------------------
 # Hamming-space clustering
 

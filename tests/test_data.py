@@ -117,6 +117,28 @@ def test_load_rejects_malformed_meta(tmp_path, meta):
     assert "meta.json" in str(info.value)
 
 
+def test_load_rejects_meta_that_is_not_json(tmp_path):
+    (tmp_path / "view_1.csv").write_text("1,2,3\n")
+    (tmp_path / "meta.json").write_text('{"name": ')
+    with pytest.raises(ParseError, match="meta.json: Expecting value") as info:
+        load_multiview(tmp_path)
+    assert info.value.path.endswith("meta.json")
+
+
+@pytest.mark.parametrize("name, content, cell", [
+    ("view_1.csv", b"1,2\n3,\xff4\n", "'.+4' in column 2 as float64"),
+    ("labels.csv", b"0\n\xff\n", "'.+' in column 1 as int64"),
+])
+def test_load_rejects_undecodable_byte_naming_line(tmp_path, name, content, cell):
+    # 0xff is no text in UTF-8: its cell is refused like any other
+    (tmp_path / "view_1.csv").write_bytes(b"1,2\n")
+    (tmp_path / name).write_bytes(content)
+    with pytest.raises(ParseError, match=f"{name}: line 2: cannot read {cell}$") as info:
+        load_multiview(tmp_path)
+    assert info.value.line == 2
+    assert info.value.path.endswith(name)
+
+
 # numpy's C reader gives every value; a file it will not return is scanned
 # once with the same reader, which names the file and line; neither may warn
 
@@ -274,6 +296,15 @@ def test_save_refuses_overwrite_without_force(tmp_path):
     with pytest.raises(FileExistsError):
         save_multiview(data, out)
     save_multiview(data, out, force=True)
+
+
+def test_save_with_force_removes_stale_labels(tmp_path):
+    out = tmp_path / "ds"
+    labelled = gen_gaussian_clusters(k=2, v=1, n=10, dims=[2], sep=5, seed=1)
+    save_multiview(labelled, out)
+    save_multiview(MultiViewData(views=labelled.views, labels=None, name="x"), out, force=True)
+    assert not os.path.exists(out / "labels.csv")
+    assert load_multiview(out).labels is None
 
 
 def test_save_with_force_removes_views_beyond_new_count(tmp_path):

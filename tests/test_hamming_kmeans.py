@@ -252,6 +252,12 @@ def test_kmeans_restarts_no_worse_than_single(rng):
     assert quantization_error(codes, best) <= quantization_error(codes, single)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_kmeans_restarts_rejects_fewer_than_one(rng, restarts):
+    with pytest.raises(ValueError, match=f"^restarts must be >= 1, got {restarts}$"):
+        binary_kmeans_restarts(random_codes(rng, 5, 40), 4, restarts=restarts)
+
+
 def test_labels_extraction():
     model = ClusterModel(centroids=np.ones((2, 3)), labels=np.array([2, 0, 1, 2]))
     assert model.labels.tolist() == [2, 0, 1, 2]

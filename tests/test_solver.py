@@ -5,7 +5,10 @@ import pytest
 
 import oracles
 from tenhash import solver
+from tenhash.data import gen_gaussian_clusters, salt_pepper
 from tenhash.exceptions import InconsistentSampleCounts, NonFinite, ShapeMismatch
+from tenhash.hamming_kmeans import binary_kmeans_restarts
+from tenhash.kernel import kernelize_views
 from tenhash.solver import (
     MU0,
     HashCodes,
@@ -70,6 +73,15 @@ def test_init_primal_residuals_exactly_zero(rng):
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
+        make_config(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("bits", 0, "bits must be >= 1, got 0"),
+    ("max_iter", -1, "max_iter must be >= 0"),
+])
+def test_config_rejects_out_of_range_counts(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         make_config(**{field: value})
 
 
@@ -438,6 +450,11 @@ def test_fuse_ties_go_to_plus_one(rng):
 def test_fuse_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         fuse_codes([np.ones((2, 3)), np.ones((3, 2))])
+
+
+def test_fuse_rejects_no_views():
+    with pytest.raises(ShapeMismatch, match="^need at least one code matrix$"):
+        fuse_codes([])
 
 
 # ---------------------------------------------------------------------------
@@ -849,3 +866,52 @@ def test_solve_infinite_projection_meeting_an_overflowing_shift_warns_nothing(mo
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFinite, match="non-finite value in projections at iteration 2"):
             solve(graphs, gram_factors(graphs), make_config(max_iter=5))
+
+
+# ---------------------------------------------------------------------------
+# the whole loop against the reference transcription
+
+
+# name: (features per view, n, Gaussian clusters, k, anchors, bits, alpha,
+# salt-and-pepper ratio, cluster separation); every case runs at zeta 0.3
+REFERENCE_CASES = {
+    "v1-b1": ((6,), 80, 3, 3, 20, 1, 1e-2, 0.0, 8.0),
+    "v1-b16-m=n": ((8,), 120, 5, 5, 120, 16, 10.0, 0.0, 8.0),
+    "v2-b4": ((5, 5), 120, 4, 4, 40, 4, 1.0, 0.0, 8.0),
+    "v3-b16-alpha1e-6": ((6, 4, 3), 120, 4, 4, 30, 16, 1e-6, 0.0, 8.0),
+    "v3-b4-m=n": ((5, 5, 5), 90, 3, 3, 90, 4, 1.0, 0.0, 6.0),
+    "v5-b1": ((3, 3, 3, 3, 3), 100, 4, 4, 25, 1, 1e-2, 0.0, 8.0),
+    "v5-b16-m=n": ((4, 4, 3, 3, 2), 100, 4, 4, 100, 16, 10.0, 0.0, 8.0),
+    "salt-and-pepper": ((10, 10), 200, 4, 4, 60, 16, 0.1, 0.1, 8.0),
+    # 4-bit codes for k = 20: fewer distinct codes than clusters
+    "collapsed-codes": ((10, 10), 200, 4, 20, 40, 4, 1.0, 0.0, 16.0),
+}
+# Codes, labels, iterations, stop reasons and flips were seen identical to the
+# reference under numpy 2.4.6's OpenBLAS with the x86-64 kernels Prescott,
+# Nehalem, Sandybridge, Haswell (which OPENBLAS_CORETYPE=Zen also runs) and
+# SkylakeX at one and two threads; no other BLAS or CPU was tried. Residuals
+# differ by rounding: by at most 2.03e-9 of the largest residual of their
+# column (a case's ||Q - A|| or ||B - E|| over its run) as measured over
+# SkylakeX, Haswell and Prescott at one and two threads, the most at m = n.
+REFERENCE_RESIDUAL_TOL = 1e-7
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_solve_matches_reference_loop(case):
+    dims, n, clusters, k, m, bits, alpha, noise, sep = REFERENCE_CASES[case]
+    data = gen_gaussian_clusters(k=clusters, v=len(dims), n=n, dims=list(dims), sep=sep, seed=3)
+    views = [salt_pepper(view, noise, 3 + p) for p, view in enumerate(data.views)]
+    graphs = kernelize_views(views, m, 0)
+    config = SolverConfig(alpha=alpha, bits=bits, zeta=0.3, seed=0)
+    codes, history = solve(graphs, gram_factors(graphs), config)
+    want_codes, want_fused, records, stop = oracles.reference_solve(
+        graphs, config, MU0, solver.RHO, solver.MU_MAX)
+    assert np.array_equal(codes.per_view, want_codes)
+    assert np.array_equal(codes.fused, want_fused)
+    assert (len(history), codes.stop_reason) == (len(records), stop)
+    assert [rec.bits_flipped for rec in history] == [flips for *_, flips in records]
+    labels = binary_kmeans_restarts(codes.fused, k, restarts=8, seed=0).labels
+    assert np.array_equal(labels, oracles.per_sample_kmeans_restarts(want_fused, k, 8, 0)[1])
+    got = np.array([(rec.res_projection, rec.res_code) for rec in history])
+    want = np.array([rec[:2] for rec in records])
+    assert np.all(np.abs(got - want) <= REFERENCE_RESIDUAL_TOL * want.max(axis=0))

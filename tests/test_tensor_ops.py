@@ -208,6 +208,16 @@ def test_t_product_matches_block_circulant_oracle():
         assert rel_err(t_product(a, b), oracles.tproduct_bcirc(a, b)) <= 1e-10
 
 
+@pytest.mark.parametrize("t, message", [
+    (np.ones((2, 3)), r"tensor must be 3-D, got shape \(2, 3\)"),
+    (np.ones((2, 0, 3)), r"tensor has an empty dimension: \(2, 0, 3\)"),
+], ids=["2-D", "empty"])
+def test_operators_reject_a_non_tensor(t, message):
+    for operator in (tensor_nuclear_norm, t_svd, lambda x: tensor_svt(x, 0.1)):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            operator(t)
+
+
 def test_t_product_dimension_mismatch(rng):
     with pytest.raises(DimensionMismatch):
         t_product(rng.standard_normal((3, 4, 2)), rng.standard_normal((5, 2, 2)))
