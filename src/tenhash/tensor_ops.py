@@ -177,9 +177,12 @@ def _factor(packed, vectors=True, zero_bound=None):
     coefficients in the same layout, reads the d3//2+1 independent columns
     and returns the packing with each slice's singular values replaced by
     its column of ``coeff``, written into ``out`` if given (a contiguous
-    array of the packing's shape that is not the packing). Once it has read
-    the packing's rows of the complex slices' real parts it uses them as
-    scratch, so it runs once per packing and leaves those rows overwritten.
+    array of the packing's shape that is not the packing). A singular
+    value that is 0 in ``cm`` stays 0 whatever ``coeff`` holds there: a
+    vanished singular value leaves no direction to put energy on. Once it
+    has read the packing's rows of the complex slices' real parts it uses
+    them as scratch, so it runs once per packing and leaves those rows
+    overwritten.
     With ``vectors=False`` no eigenvectors are computed and ``rebuild`` is
     None.
 
@@ -372,11 +375,14 @@ def tensor_svt(t, tau):
     slice, i.e. shrinks the core matrix (see :func:`_factor`) by ``tau``,
     then transforms back. With the 1/d3 norm convention this is
     the exact minimizer of ``tau*||X||_tnn + 0.5*||X - t||_F^2``.
+
+    It is :func:`enhanced_tensor_svt` at ``mu = 1``, ``lam = 0`` and
+    ``zeta = tau``: stage one is skipped and stage two is this shrinkage.
+    So ``tau == 0`` returns a copy of ``t`` exactly, a result that is all
+    zero is +0.0 everywhere, and a negative or NaN ``tau`` is rejected as
+    a negative ``zeta`` is.
     """
-    if not 0 <= tau:
-        raise ValueError(f"threshold must be >= 0, got {tau}")
-    cm, rebuild = _factor(_spectrum(_as_tensor3(t)))
-    return _from_spectrum(rebuild(np.maximum(cm - tau, 0.0)))
+    return enhanced_tensor_svt(t, 1.0, tau, 0.0)
 
 
 def enhanced_tensor_svt(t, mu, zeta, lam):
@@ -385,13 +391,16 @@ def enhanced_tensor_svt(t, mu, zeta, lam):
     Stage one factors every spectral slice of ``t``, gathers the singular
     values into the core matrix (see :func:`_factor`) and applies
     :func:`matrix_svt` with threshold ``lam/mu``, forcing the core matrix
-    itself to be low rank. Stage two rebuilds every slice from its own
-    singular vectors with the shrunk core column as its singular values,
-    and applies :func:`tensor_svt` with threshold ``zeta/mu``, which
-    shrinks each core entry toward zero by ``zeta/mu``.
+    itself to be low rank; with ``lam == 0`` it is the identity and is
+    skipped. Stage two rebuilds every slice from its own singular vectors
+    with the shrunk core column as its singular values, and applies the
+    tensor SVT with threshold ``zeta/mu``, which shrinks each core entry
+    toward zero by ``zeta/mu``; :func:`tensor_svt` is this operator at
+    ``mu = 1``, ``lam = 0``. The rebuild alone keeps the coefficient of a
+    singular value that is 0 at 0.
 
-    With ``lam == zeta == 0`` both stages are the identity and the input
-    is returned unchanged.
+    With ``lam == zeta == 0`` both stages are the identity and a copy of
+    the input is returned exactly.
 
     Works on the spectral slices with economy factorizations and never
     forms the full square orthogonal factors of a t-SVD. The work is done
@@ -403,7 +412,7 @@ def enhanced_tensor_svt(t, mu, zeta, lam):
     if not 0 < mu:
         raise ValueError(f"mu must be > 0, got {mu}")
     if not (0 <= zeta and 0 <= lam):
-        raise ValueError("zeta and lam must be >= 0")
+        raise ValueError(f"zeta and lam must be >= 0, got {zeta} and {lam}")
     t = _as_tensor3(t)
     if zeta == 0 and lam == 0:
         return t.copy()
@@ -439,6 +448,9 @@ def shrink_unchecked(t, mu, zeta, lam, out=None, work=None):
     part it removes, U min(S, lam/mu) V^T, has spectral norm at most
     lam/mu), so max_j sqrt(||G_j||_F) <= (zeta - lam)/mu leaves nothing
     for stage two to keep.
+
+    Stage two's coefficients go to the rebuild as they are: it reads none
+    where the core matrix is 0.
     """
     d1, d2, d3 = t.shape
     if out is None:
@@ -457,12 +469,10 @@ def shrink_unchecked(t, mu, zeta, lam, out=None, work=None):
         out.fill(0.0)
         return np.moveaxis(out, 0, 2)
     cm, rebuild = factored
-    # stage one: global SVT on the core matrix couples the slices
-    cm_low = matrix_svt(cm, lam / mu)
+    # stage one: global SVT on the core matrix couples the slices; at
+    # lam = 0 it is the identity
+    cm_low = matrix_svt(cm, lam / mu) if lam else cm
     # stage two: the rebuilt slice U diag(c) V^H has singular values |c|,
     # so its SVT shrinks each coefficient toward zero by zeta/mu
     shrunk = np.sign(cm_low) * np.maximum(np.abs(cm_low) - zeta / mu, 0.0)
-    # a vanished singular value leaves no principled direction to put
-    # re-grown energy on; keep those coefficients at zero
-    shrunk = np.where(cm > 0, shrunk, 0.0)
     return _from_spectrum(rebuild(shrunk, out=work), out=out)

@@ -309,7 +309,6 @@ def test_cluster_reports_byte_identical_apart_from_timing(tmp_path):
         ]
 
     assert stripped(first) == stripped(second)
-    assert json.loads(first.read_text()) != json.loads(second.read_text()) or True
 
 
 def test_cluster_report_same_with_and_without_trace(tmp_path):
@@ -324,7 +323,7 @@ def test_cluster_report_same_with_and_without_trace(tmp_path):
     def untimed(path):
         report = json.loads(path.read_text())
         assert sorted(k for k in report if k.startswith("time_")) == [
-            "time_cluster", "time_kernelize", "time_solve"]
+            "time_cluster", "time_gram", "time_kernelize", "time_solve"]
         return {k: val for k, val in report.items() if not k.startswith("time_")}
 
     assert untimed(plain) == untimed(traced)

@@ -410,12 +410,54 @@ def test_matrix_svt_optimal_over_small_corpus():
 
 def test_tensor_svt_zero_threshold():
     t = np.random.default_rng(24).standard_normal((3, 4, 2))
-    assert rel_err(tensor_svt(t, 0.0), t) <= 1e-12
+    got = tensor_svt(t, 0.0)
+    assert np.array_equal(got, t) and not np.shares_memory(got, t)
 
 
 def test_tensor_svt_depth_one_equals_matrix_svt(rng):
     t = rng.standard_normal((4, 3, 1))
     assert np.allclose(tensor_svt(t, 0.4)[:, :, 0], matrix_svt(t[:, :, 0], 0.4))
+
+
+def test_tensor_svt_is_enhanced_svt_without_stage_one():
+    corpus = random_tensor_corpus(60, seed=37)
+    assert any(d3 >= 3 and d1 > d2 for d1, d2, d3 in (t.shape for t in corpus))
+    assert any(d3 >= 3 and d1 < d2 for d1, d2, d3 in (t.shape for t in corpus))
+    for t in corpus:
+        for tau in (0.0, 0.3, 1.5):
+            assert np.array_equal(tensor_svt(t, tau), enhanced_tensor_svt(t, 1.0, tau, 0.0))
+
+
+def test_shrinkage_reads_no_coefficient_of_a_vanished_singular_value(monkeypatch):
+    # the rebuild alone keeps a core entry that is 0 at 0, so the stage-two
+    # coefficients there may hold anything; rank-deficient slices, real and
+    # complex, tall and wide, have such entries
+    import tenhash.tensor_ops as ops
+
+    rng = np.random.default_rng(38)
+    inputs = [low_rank_tensor(rng, shape, rank)
+              for shape in ((5, 8, 3), (8, 5, 4), (6, 6, 2), (9, 4, 1)) for rank in (1, 2)]
+    factor = ops._factor
+    vanished = []
+
+    def scrambled(packed, vectors=True, zero_bound=None):
+        cm, rebuild = factor(packed, vectors, zero_bound)
+        vanished.append(np.count_nonzero(cm == 0))
+        noise = rng.standard_normal(cm.shape) * 10
+
+        def rebuild_scrambled(coeff, out=None):
+            return rebuild(np.where(cm > 0, coeff, noise), out=out)
+
+        return cm, rebuild_scrambled
+
+    for t in inputs:
+        for mu, zeta, lam in ((1.0, 0.1, 0.3), (0.7, 0.2, 0.0)):
+            want = ops.shrink_unchecked(t, mu, zeta, lam)
+            monkeypatch.setattr(ops, "_factor", scrambled)
+            got = ops.shrink_unchecked(t, mu, zeta, lam)
+            monkeypatch.setattr(ops, "_factor", factor)
+            assert np.array_equal(got, want)
+    assert len(vanished) == 2 * len(inputs) and all(vanished)
 
 
 def test_tensor_svt_matches_oracle():
