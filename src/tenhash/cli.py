@@ -127,11 +127,17 @@ def _solver_config(args, alpha):
 
 
 def _prepare(views, anchors, seed, standardize):
-    """The part of a run that no solver setting changes: the anchor graphs
-    of the views and their Gram factors, as the pair ``(graphs, factors)``
-    that :func:`_fit` takes."""
+    """The part of a run that no solver setting changes, and the only code
+    that kernelizes and factors: ``(prepared, times)``, where ``prepared``
+    is the pair ``(graphs, factors)`` of the views' anchor graphs and their
+    Gram factors that :func:`_fit` takes, and ``times`` holds the wall
+    times of both phases, ``time_kernelize`` and ``time_gram``."""
+    t0 = time.perf_counter()
     graphs = kernelize_views(views, anchors, seed, standardize=standardize)
-    return graphs, gram_factors(graphs)
+    t1 = time.perf_counter()
+    factors = gram_factors(graphs)
+    t2 = time.perf_counter()
+    return (graphs, factors), {"time_kernelize": t1 - t0, "time_gram": t2 - t1}
 
 
 def _fit(prepared, config, k, restarts, trace=False):
@@ -149,16 +155,12 @@ def _fit(prepared, config, k, restarts, trace=False):
 def _pipeline(dataset, anchors, bits, alpha, zeta, k, seed, max_iter, tol,
               standardize, restarts=8, trace=False):
     """kernelize -> solve -> Hamming k-means, the run of ``cluster``;
-    returns what :func:`_fit` does, with ``time_kernelize`` (the anchor
-    graphs) and ``time_gram`` (their Gram factors) added to the times."""
-    t0 = time.perf_counter()
-    graphs = kernelize_views(dataset.views, anchors, seed, standardize=standardize)
-    t1 = time.perf_counter()
-    factors = gram_factors(graphs)
-    t2 = time.perf_counter()
+    returns what :func:`_fit` does, with the times of :func:`_prepare`
+    added to its times."""
+    prepared, setup_times = _prepare(dataset.views, anchors, seed, standardize)
     config = SolverConfig(alpha=alpha, bits=bits, zeta=zeta, max_iter=max_iter, tol=tol, seed=seed)
-    codes, history, pred, times = _fit((graphs, factors), config, k, restarts, trace)
-    return codes, history, pred, {"time_kernelize": t1 - t0, "time_gram": t2 - t1, **times}
+    codes, history, pred, times = _fit(prepared, config, k, restarts, trace)
+    return codes, history, pred, {**setup_times, **times}
 
 
 def _resolve_anchors_k(args, dataset, parser):
@@ -252,7 +254,7 @@ def cmd_sweep(args, parser):
     anchors, k = _resolve_anchors_k(args, dataset, parser)
     alphas = args.alphas if args.alphas is not None else [10.0 ** e for e in range(-8, 3)]
     # a failure here fails every alpha alike: it ends the command
-    prepared = _prepare(dataset.views, anchors, args.seed, not args.no_standardize)
+    prepared, _ = _prepare(dataset.views, anchors, args.seed, not args.no_standardize)
     rows = []
     failures = 0
     for alpha in alphas:
@@ -281,18 +283,18 @@ def cmd_bench(args, parser):
         sep=args.sep, seed=args.seed,
     )
     config = _solver_config(args, args.alpha)
-    solve(*_prepare(warm.views, min(args.anchors, warm.n), args.seed, True),
+    solve(*_prepare(warm.views, min(args.anchors, warm.n), args.seed, True)[0],
           replace(config, max_iter=2))
     rows = []
     for n in args.sizes:
         dataset = datamod.gen_gaussian_clusters(
             k=args.k, v=args.views, n=n, dims=dims, sep=args.sep, seed=args.seed,
         )
-        graphs = kernelize_views(dataset.views, args.anchors, args.seed)
-        # timed with the Gram factors, which a single solve of these graphs needs
+        prepared, setup_times = _prepare(dataset.views, args.anchors, args.seed, True)
         t0 = time.perf_counter()
-        _, history = solve(graphs, gram_factors(graphs), config)
-        seconds = time.perf_counter() - t0
+        _, history = solve(*prepared, config)
+        # the Gram factors count: a single solve of these graphs needs them
+        seconds = setup_times["time_gram"] + time.perf_counter() - t0
         iters = len(history)
         per_iter = sum(rec.seconds for rec in history) / iters
         rows.append({

@@ -50,7 +50,7 @@ class EmptyInput(TenhashError, ValueError):
 
 
 class InvalidK(TenhashError, ValueError):
-    """Cluster count outside the valid range 1..n."""
+    """Cluster count that is not an integer in the valid range 1..n."""
 
 
 class NonSignCodes(TenhashError, ValueError):
@@ -62,7 +62,8 @@ class InvalidRatio(TenhashError, ValueError):
 
 
 class InvalidArgs(TenhashError, ValueError):
-    """Generator or command arguments violate their documented bounds."""
+    """Generator or command arguments violate their documented bounds, or
+    a tensor operand is complex."""
 
 
 class DatasetFormatError(TenhashError, ValueError):

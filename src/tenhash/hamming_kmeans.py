@@ -6,6 +6,7 @@ step, both discrete. Centroids stay in {-1,+1}^l throughout, so distances
 are Hamming counts computed from inner products: H(b, c) = (l - b.c) / 2.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,8 @@ def _distinct_columns(codes, k):
             f"codes must be an l x n matrix with l >= 1 bits, got shape {codes.shape}")
     _check_sign_codes(codes)
     n = codes.shape[1]
+    if not isinstance(k, numbers.Integral):
+        raise InvalidK(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise InvalidK(f"k must be in 1..{n}, got {k}")
     first, ids, counts = _distinct_codes(codes)
@@ -165,6 +168,8 @@ def binary_kmeans_restarts(codes, k, restarts=8, seed=0):
     The distinct codes are taken once for all runs, and each run's error
     is summed over them, weighted by their sample counts.
     """
+    if not isinstance(restarts, numbers.Integral):
+        raise ValueError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     distinct, counts, ids = _distinct_columns(codes, k)

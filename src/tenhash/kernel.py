@@ -6,6 +6,8 @@ bipartite similarity graph exp(-||x_i - s_j||^2 / delta). The anchors are
 always given as sample indices into the view they are taken from.
 """
 
+import numbers
+
 import numpy as np
 
 from .exceptions import (
@@ -23,8 +25,11 @@ def sample_anchors(n, m, seed):
     The draw is a seeded partial Fisher-Yates shuffle, so it depends only
     on (n, m, seed): one draw serves every view of a dataset, keeping
     anchors aligned by sample identity across views. Raises ValueError for
-    m < 1 and AnchorCountExceedsSamples for m > n.
+    an m that is not an integer (numpy integers are) or is < 1, and
+    AnchorCountExceedsSamples for m > n.
     """
+    if not isinstance(m, numbers.Integral):
+        raise ValueError(f"anchor count must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"anchor count must be >= 1, got {m}")
     if m > n:
@@ -142,9 +147,9 @@ def kernelize_views(views, m, seed, standardize=True):
     An empty view list is rejected with InconsistentSampleCounts, a view
     that is not 2-D with DimensionMismatch, views holding NaN or Inf with
     NonFiniteInput, views with different sample counts with
-    InconsistentSampleCounts, and an anchor count m < 1 with ValueError or
-    m > n with AnchorCountExceedsSamples, all before the stack is
-    allocated. Finite values too large for the arithmetic are rejected
+    InconsistentSampleCounts, and an anchor count m that is not an integer
+    or is < 1 with ValueError or m > n with AnchorCountExceedsSamples, all
+    before the stack is allocated. Finite values too large for the arithmetic are rejected
     naming the view: a feature whose spread overflows in standardization
     with NonFiniteInput, and squared distances that overflow the bandwidth
     with NonPositiveBandwidth.

@@ -35,6 +35,7 @@ the shrinkage steps return A and E C-contiguous (the residual norms sum
 in memory order, so the layout is part of the result).
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -64,6 +65,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy integer scalars are numbers.Integral too
+        for name in ("bits", "max_iter", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # every comparison with NaN is False, so NaN is rejected too
         if not 0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NonFiniteInput, SvdNonConvergence
+from .exceptions import DimensionMismatch, InvalidArgs, NonFiniteInput, SvdNonConvergence
 
 # relative cutoff below which t_svd and matrix_svt singular values are zero
 RANK_TOL = 1e-12
@@ -71,7 +71,12 @@ def _check_entries(x, name):
 
 
 def _as_tensor3(t, name="tensor"):
-    t = np.asarray(t, dtype=float)
+    """``t`` as a 3-D float array; a complex one is rejected rather than
+    cast, which would drop its imaginary part."""
+    t = np.asarray(t)
+    if np.iscomplexobj(t):
+        raise InvalidArgs(f"{name} must be real, got dtype {t.dtype}")
+    t = t.astype(float, copy=False)
     if t.ndim != 3:
         raise DimensionMismatch(f"{name} must be 3-D, got shape {t.shape}")
     if t.size == 0:
@@ -356,12 +361,15 @@ def matrix_svt(m, tau):
     nuclear norm.
 
     Returns the unique minimizer of ``tau*||X||_* + 0.5*||X - m||_F^2``,
-    i.e. U @ diag(max(sigma - tau, 0)) @ Vt. A NaN or Inf entry raises
+    i.e. U @ diag(max(sigma - tau, 0)) @ Vt. An input that is not 2-D
+    raises DimensionMismatch naming its shape, and a NaN or Inf entry
     NonFiniteInput naming it.
     """
     if not 0 <= tau:
         raise ValueError(f"threshold must be >= 0, got {tau}")
     m = np.asarray(m)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"matrix must be 2-D, got shape {m.shape}")
     _check_entries(m, "matrix")
     u, s, vt = _svd(m)
     s = np.maximum(_clean_singvals(s) - tau, 0.0)

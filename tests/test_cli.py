@@ -1,4 +1,5 @@
 import argparse
+import collections
 import csv
 import ctypes
 import functools
@@ -683,21 +684,71 @@ def test_sweep_default_grid_row_count(tmp_path):
     ]
 
 
-def test_sweep_kernelizes_and_factors_once(tmp_path, monkeypatch):
-    ds = synth_dataset(tmp_path / "ds", n=60)
-    calls = {"kernelize_views": 0, "gram_factors": 0}
-    for name in calls:
+@pytest.fixture
+def setup_calls(monkeypatch):
+    """``(calls, times)``: the calls of ``kernelize_views`` and
+    ``gram_factors`` through ``cli``, counted by name and by whether
+    ``cli._prepare`` made them, and the times each ``_prepare`` call
+    returned."""
+    calls = collections.Counter()
+    times = []
+    inside = []
+
+    def preparing(*args, _prepare=cli._prepare, **kwargs):
+        inside.append(True)
+        try:
+            prepared, phase_times = _prepare(*args, **kwargs)
+        finally:
+            inside.pop()
+        times.append(phase_times)
+        return prepared, phase_times
+
+    monkeypatch.setattr(cli, "_prepare", preparing)
+    for name in ("kernelize_views", "gram_factors"):
         def counting(*args, _name=name, _step=getattr(cli, name), **kwargs):
-            calls[_name] += 1
+            calls[_name, "_prepare" if inside else "elsewhere"] += 1
             return _step(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counting)
+    return calls, times
+
+
+def only_in_prepare(count):
+    return {("kernelize_views", "_prepare"): count, ("gram_factors", "_prepare"): count}
+
+
+def test_sweep_kernelizes_and_factors_once(tmp_path, setup_calls):
+    ds = synth_dataset(tmp_path / "ds", n=60)
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", str(ds), "--anchors", "30", "--bits", "8",
                    "--alphas", "0.001,0.01,0.1", "--out", str(out)) == 0
-    assert calls == {"kernelize_views": 1, "gram_factors": 1}
+    assert setup_calls[0] == only_in_prepare(1)
     with open(out) as fh:
         assert [r["error"] for r in csv.DictReader(fh)] == ["", "", ""]
+
+
+def test_cluster_kernelizes_and_factors_only_in_prepare(tmp_path, setup_calls):
+    ds = synth_dataset(tmp_path / "ds", n=60)
+    out = tmp_path / "report.json"
+    assert run_cli("cluster", str(ds), "--anchors", "30", "--bits", "8", "--out", str(out)) == 0
+    calls, (times,) = setup_calls
+    assert calls == only_in_prepare(1)
+    report = json.loads(out.read_text())
+    assert {key: report[key] for key in times} == times
+
+
+def test_bench_kernelizes_and_factors_only_in_prepare(tmp_path, setup_calls):
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--sizes", "300,600", "--anchors", "50", "--bits", "8",
+                   "--max-iter", "2", "--out", str(out)) == 0
+    # the warm-up, then one per size
+    calls, (_, *times) = setup_calls
+    assert calls == only_in_prepare(3)
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    # each size's seconds hold its Gram factors (the CSV rounds to 1e-6)
+    for row, size_times in zip(rows, times, strict=True):
+        assert float(row["seconds"]) >= size_times["time_gram"] - 1e-6
 
 
 def test_sweep_failed_alpha_writes_its_row_and_exits_1(tmp_path, capsys):

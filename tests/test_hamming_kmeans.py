@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,27 @@ def test_kmeans_invalid_k(rng):
     for bad in (0, 6):
         with pytest.raises(InvalidK):
             binary_kmeans(codes, bad)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda codes: binary_kmeans_restarts(codes, 2.0), InvalidK, "k must be an integer, got 2.0"),
+    (lambda codes: binary_kmeans(codes, np.float64(2)), InvalidK,
+     "k must be an integer, got np.float64(2.0)"),
+    (lambda codes: binary_kmeans_restarts(codes, "2"), InvalidK, "k must be an integer, got '2'"),
+    (lambda codes: binary_kmeans_restarts(codes, 2, restarts=2.0), ValueError,
+     "restarts must be an integer, got 2.0"),
+    (lambda codes: binary_kmeans_restarts(codes, 2, restarts=1.5), ValueError,
+     "restarts must be an integer, got 1.5"),
+], ids=["k_float", "k_numpy_float", "k_str", "restarts_float", "restarts_fraction"])
+def test_kmeans_rejects_non_integer_counts(rng, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(random_codes(rng, 3, 5))
+
+
+def test_kmeans_takes_numpy_integer_counts(rng):
+    codes = random_codes(rng, 3, 5)
+    model = binary_kmeans_restarts(codes, np.int64(2), restarts=np.int32(3), seed=1)
+    assert model.labels.tolist() == binary_kmeans_restarts(codes, 2, 3, 1).labels.tolist()
 
 
 def test_kmeans_objective_nonincreasing(rng):

@@ -65,6 +65,21 @@ def test_sample_anchors_rejects_excess():
         sample_anchors(4, 0, seed=0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: sample_anchors(10, m, seed=0),
+    lambda m: kernelize_views([np.ones((2, 10))], m, seed=0),
+], ids=["sample_anchors", "kernelize_views"])
+@pytest.mark.parametrize("m", [3.0, np.float64(3), 2.5, "3"])
+def test_anchor_count_must_be_an_integer(call, m):
+    message = f"anchor count must be an integer, got {m!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(m)
+
+
+def test_anchor_count_may_be_a_numpy_integer():
+    assert np.array_equal(sample_anchors(10, np.int64(3), seed=0), sample_anchors(10, 3, seed=0))
+
+
 def test_bandwidth_degenerate_fallback():
     sqdist, _ = distances_and_indices(np.ones((3, 4)), 1, seed=0)
     assert estimate_bandwidth(sqdist) == 1.0

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -83,6 +84,23 @@ def test_config_rejects_non_finite(field, value):
 def test_config_rejects_out_of_range_counts(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make_config(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bits", 2.5), ("bits", 8.0), ("max_iter", 3.5), ("max_iter", np.float64(10)),
+    ("seed", 1.5), ("seed", "0"),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    message = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_config(**{field: value})
+
+
+def test_config_takes_numpy_integer_counts(rng):
+    config = make_config(bits=np.int64(3), max_iter=np.int32(2), seed=np.uint8(4))
+    graphs = make_graphs(rng)
+    codes, history = solve(graphs, gram_factors(graphs), config)
+    assert codes.fused.shape == (3, 12) and len(history) == 2
 
 
 def test_init_rejects_mismatched_n(rng):

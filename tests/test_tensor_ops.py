@@ -1,6 +1,7 @@
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ import pytest
 
 import oracles
 from conftest import random_tensor_corpus
-from tenhash.exceptions import DimensionMismatch, NonFiniteInput, SvdNonConvergence
+from tenhash.exceptions import DimensionMismatch, InvalidArgs, NonFiniteInput, SvdNonConvergence
 from tenhash.tensor_ops import (
     _dft_matrices,
     _from_spectrum,
@@ -218,6 +219,21 @@ def test_operators_reject_a_non_tensor(t, message):
             operator(t)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda t: t_product(t, np.ones((2, 2, 2))), "left operand"),
+    (lambda t: t_product(np.ones((2, 2, 2)), t), "right operand"),
+    (t_svd, "tensor"),
+    (lambda t: tensor_svt(t, 0.1), "tensor"),
+    (tensor_nuclear_norm, "tensor"),
+    (lambda t: enhanced_tensor_nuclear_norm(t, 0.1), "tensor"),
+], ids=["t_product_left", "t_product_right", "t_svd", "tensor_svt", "tnn", "etnn"])
+def test_operators_reject_a_complex_tensor(call, name):
+    # a cast to float would drop the imaginary part; a zero one counts too
+    for t in (1j * np.ones((2, 2, 2)), np.ones((2, 2, 2), dtype=np.complex64)):
+        with pytest.raises(InvalidArgs, match=f"^{name} must be real, got dtype {t.dtype}$"):
+            call(t)
+
+
 def test_t_product_dimension_mismatch(rng):
     with pytest.raises(DimensionMismatch):
         t_product(rng.standard_normal((3, 4, 2)), rng.standard_normal((5, 2, 2)))
@@ -339,6 +355,13 @@ def test_matrix_svt_diagonal():
 def test_matrix_svt_zero_threshold(rng):
     m = rng.standard_normal((4, 3))
     assert rel_err(matrix_svt(m, 0.0), m) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 2), ()])
+def test_matrix_svt_rejects_a_non_matrix(shape):
+    with pytest.raises(DimensionMismatch,
+                       match=rf"^matrix must be 2-D, got shape {re.escape(str(shape))}$"):
+        matrix_svt(np.ones(shape), 0.5)
 
 
 def test_matrix_svt_rejects_negative_tau(rng):
